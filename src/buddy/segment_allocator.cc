@@ -248,11 +248,6 @@ Status SegmentAllocator::Free(const Extent& extent) {
 
 Status SegmentAllocator::FreeForUnwind(const Extent& extent) {
   if (!extent.valid()) return Status::InvalidArgument("invalid extent");
-  // Drop cached frames first: a stale dirty frame flushed later would
-  // trample whatever next reuses these pages.
-  for (uint32_t i = 0; i < extent.pages; ++i) {
-    pager_->Invalidate(extent.first + i);
-  }
   return FreeInternal(extent);
 }
 
@@ -274,6 +269,14 @@ Status SegmentAllocator::FreeInternal(const Extent& extent) {
     return Status::InvalidArgument("extent spans buddy spaces");
   }
   EOS_RETURN_IF_ERROR(Space(space).Free(local, extent.pages));
+  // The pages are free from here on: drop their cached frames, dirty or
+  // not, so a stale frame flushed later cannot trample whatever reuses
+  // them. Not any earlier: while a free is parked, a dirty frame (not yet
+  // written back, or its write-through failed behind a volume outage) is
+  // the only good copy of a page a pinned snapshot may still read.
+  for (uint32_t i = 0; i < extent.pages; ++i) {
+    pager_->Invalidate(extent.first + i);
+  }
   m_free_->Inc();
   m_free_pages_->Add(extent.pages);
   free_pages_fast_.fetch_add(extent.pages, std::memory_order_relaxed);

@@ -226,13 +226,14 @@ class SegmentAllocator {
 
   // Unwind path of SpaceReservation: frees an extent immediately, skipping
   // the reservation and any interceptor (no durable root ever referenced
-  // it), and drops stale cached frames of its pages.
+  // it).
   Status FreeForUnwind(const Extent& extent);
 
   // Unwind path of SpaceReservation: rewrites a page from its saved image.
   void RestorePageImage(PageId page, const Bytes& image);
 
-  // The latched buddy free shared by Free() and FreeForUnwind().
+  // The latched buddy free shared by Free() and FreeForUnwind(); drops the
+  // pages' cached frames once they are free.
   Status FreeInternal(const Extent& extent);
 
   // Counts the call and fires the armed test fault, if any (under op_latch_).

@@ -67,15 +67,12 @@ void ExtentCache::SketchTouch(uint64_t point) {
                           std::memory_order_relaxed);
     }
   }
-  // Periodic halving keeps the estimate a sliding window. Races just halve
-  // slightly early or late; the sketch is approximate by design.
-  if (sketch_samples_.fetch_add(1, std::memory_order_relaxed) + 1 ==
-      kSketchSamplePeriod) {
-    sketch_samples_.store(0, std::memory_order_relaxed);
-    for (auto& slot : sketch_) {
-      slot.store(slot.load(std::memory_order_relaxed) >> 1,
-                 std::memory_order_relaxed);
-    }
+}
+
+void ExtentCache::AgeSketch() {
+  for (auto& slot : sketch_) {
+    slot.store(slot.load(std::memory_order_relaxed) >> 1,
+               std::memory_order_relaxed);
   }
 }
 
@@ -139,10 +136,25 @@ bool ExtentCache::Lookup(uint64_t object_id, uint64_t vseq, PageId first,
                          uint64_t lo, uint64_t hi, uint8_t* out) {
   if (capacity_ == 0 || hi <= lo) return false;
   Key key{object_id, vseq, first};
-  uint64_t point = SketchPoint(key);
-  SketchTouch(point);
+  SketchTouch(SketchPoint(key));
   Shard& shard = ShardFor(key);
-  LatchGuard g(shard.latch);
+  bool hit;
+  bool age = false;
+  {
+    LatchGuard g(shard.latch);
+    if (++shard.sketch_samples == kShardSamplePeriod) {
+      shard.sketch_samples = 0;
+      age = true;
+    }
+    hit = LookupLocked(shard, key, lo, hi, out);
+  }
+  // Off-latch: the halving walks the whole sketch.
+  if (age) AgeSketch();
+  return hit;
+}
+
+bool ExtentCache::LookupLocked(Shard& shard, const Key& key, uint64_t lo,
+                               uint64_t hi, uint8_t* out) {
   auto it = shard.entries.find(key);
   if (it == shard.entries.end() || hi > it->second.logical) {
     ++shard.misses;

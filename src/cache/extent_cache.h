@@ -111,8 +111,11 @@ class ExtentCache {
   static constexpr size_t kShards = 8;
   static constexpr size_t kSketchSlots = 1u << 15;  // 32k 8-bit counters
   // Halve every counter once this many accesses were sketched; keeps the
-  // frequency estimate a sliding window, not an all-time count.
+  // frequency estimate a sliding window, not an all-time count. Each shard
+  // counts its own lookups under its latch and triggers the halving after
+  // its share of the period, so no lookup touches a process-wide counter.
   static constexpr uint64_t kSketchSamplePeriod = kSketchSlots * 8;
+  static constexpr uint64_t kShardSamplePeriod = kSketchSamplePeriod / kShards;
 
   struct Key {
     uint64_t object_id = 0;
@@ -152,6 +155,7 @@ class ExtentCache {
     uint64_t evicted = 0;
     uint64_t invalidated = 0;
     uint64_t compressed_entries = 0;
+    uint64_t sketch_samples = 0;  // lookups since this shard last aged
   };
 
   Shard& ShardFor(const Key& k) const;
@@ -160,7 +164,14 @@ class ExtentCache {
   // hot extent keeps its history across republished versions.
   static uint64_t SketchPoint(const Key& k);
   void SketchTouch(uint64_t point);
+  // Halves every sketch counter. Races with concurrent touches just halve
+  // slightly early or late; the sketch is approximate by design.
+  void AgeSketch();
   uint32_t SketchEstimate(uint64_t point) const;
+
+  // Lookup's body once the shard latch is held.
+  bool LookupLocked(Shard& shard, const Key& key, uint64_t lo, uint64_t hi,
+                    uint8_t* out);
 
   // Removes `it`'s entry from `shard` (caller holds the shard latch).
   void RemoveLocked(Shard* shard,
@@ -179,7 +190,6 @@ class ExtentCache {
 
   mutable std::array<Shard, kShards> shards_;
   std::array<std::atomic<uint8_t>, kSketchSlots> sketch_{};
-  std::atomic<uint64_t> sketch_samples_{0};
 
   obs::Counter* m_hit_;
   obs::Counter* m_miss_;

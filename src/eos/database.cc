@@ -67,15 +67,12 @@ Database::~Database() {
     // reclaim the retired storage so a cleanly closed volume reopens
     // leak-free (the allocation maps are durable even without crash_safe).
     ExclusiveLatchGuard guard(dir_latch_);
-    {
-      LatchGuard vg(versions_latch_);
-      for (auto& [id, chain] : versions_) {
-        for (ObjectVersion& v : chain) {
-          gc_ready_.insert(gc_ready_.end(), v.retired.begin(),
-                           v.retired.end());
-        }
+    for (VersionShard& shard : version_shards_) {
+      LatchGuard sg(shard.latch);
+      for (auto& [id, chain] : shard.chains) {
+        for (ObjectVersion& v : chain) StageGc(v.retired);
       }
-      versions_.clear();
+      shard.chains.clear();
     }
     (void)DrainVersionGcLocked();
     // Crash-safe: the drain parked the frees; checkpoint them out.
@@ -368,8 +365,8 @@ Status Database::LoadDirectory() {
     if (pos + header + len + uint64_t{hole_count} * 16 > all.size()) {
       return Status::Corruption("truncated object directory root");
     }
-    directory_.emplace_back(id, Bytes(all.begin() + pos + header,
-                                      all.begin() + pos + header + len));
+    directory_[id].root.assign(all.begin() + pos + header,
+                               all.begin() + pos + header + len);
     pos += header + len;
     if (hole_count > 0) {
       std::vector<HoleRange>& h = holes_[id];
@@ -396,7 +393,8 @@ Status Database::SaveDirectory() {
     EncodeU64(all.data(), kDirSentinel);
     EncodeU32(all.data() + 8, kDirFormatV2);
   }
-  for (const auto& [id, root] : directory_) {
+  for (const auto& [id, entry] : directory_) {
+    const Bytes& root = entry.root;
     auto hit = holes_.find(id);
     const std::vector<HoleRange>* h =
         hit == holes_.end() || hit->second.empty() ? nullptr : &hit->second;
@@ -445,9 +443,11 @@ StatusOr<uint64_t> Database::CreateObjectLocked() {
   if (!adm.ok()) return span.Close(std::move(adm));
   uint64_t id = next_object_id_++;
   LobDescriptor d = lob_->CreateEmpty();
-  Bytes root = d.Serialize();
-  directory_.emplace_back(id, root);
-  if (options_.mvcc) PublishVersion(id, root, d.lsn, /*dead=*/false);
+  DirEntry& entry = directory_[id];
+  entry.root = d.Serialize();
+  if (options_.mvcc) {
+    entry.cache_tag = PublishVersion(id, entry.root, d.lsn, /*dead=*/false);
+  }
   TouchLocked(id);
   Status s = SaveDirectory();
   if (!s.ok()) return span.Close(std::move(s));
@@ -485,16 +485,18 @@ StatusOr<uint64_t> Database::CreateObjectFrom(ByteView data) {
   return id;
 }
 
-StatusOr<LobDescriptor> Database::GetRootLocked(uint64_t id) {
-  for (const auto& [oid, root] : directory_) {
-    if (oid == id) {
-      EOS_ASSIGN_OR_RETURN(LobDescriptor d, LobDescriptor::Deserialize(root));
-      auto hint = threshold_hints_.find(id);
-      if (hint != threshold_hints_.end()) d.threshold_hint = hint->second;
-      return d;
-    }
+StatusOr<LobDescriptor> Database::GetRootLocked(uint64_t id,
+                                                uint64_t* cache_tag) {
+  auto it = directory_.find(id);
+  if (it == directory_.end()) {
+    return Status::NotFound("object " + std::to_string(id));
   }
-  return Status::NotFound("object " + std::to_string(id));
+  EOS_ASSIGN_OR_RETURN(LobDescriptor d,
+                       LobDescriptor::Deserialize(it->second.root));
+  auto hint = threshold_hints_.find(id);
+  if (hint != threshold_hints_.end()) d.threshold_hint = hint->second;
+  if (cache_tag != nullptr) *cache_tag = it->second.cache_tag;
+  return d;
 }
 
 StatusOr<LobDescriptor> Database::GetRoot(uint64_t id) {
@@ -527,31 +529,28 @@ Status Database::ReorganizeObject(uint64_t id) {
 }
 
 Status Database::PutRootLocked(uint64_t id, const LobDescriptor& d) {
-  for (auto& [oid, root] : directory_) {
-    if (oid == id) {
-      root = d.Serialize();
-      if (cache_ != nullptr && !options_.mvcc) {
-        // Without version chains the cache key is the per-object mutation
-        // generation; bump it and drop the dead generation's entries (the
-        // new root may reuse leaf extents the old one wrote in place).
-        uint64_t& gen = cache_gen_[id];
-        gen = gen == 0 ? 2 : gen + 1;
-        cache_->InvalidateObject(id);
-      }
-      // Publish before the directory save: the in-memory root above is the
-      // current version from here on even if the save fails (the next
-      // successful save persists it), and snapshot pins must track it.
-      if (options_.mvcc) PublishVersion(id, root, d.lsn, /*dead=*/false);
-      Status s = SaveDirectory();
-      if (options_.mvcc) {
-        Status gc = DrainVersionGcLocked();
-        if (s.ok()) s = std::move(gc);
-      }
-      return s;
-    }
+  auto it = directory_.find(id);
+  if (it == directory_.end()) {
+    pending_retired_.clear();  // nothing published; drop any stale capture
+    return Status::NotFound("object " + std::to_string(id));
   }
-  pending_retired_.clear();  // nothing published; drop any stale capture
-  return Status::NotFound("object " + std::to_string(id));
+  DirEntry& entry = it->second;
+  entry.root = d.Serialize();
+  if (options_.mvcc) {
+    // Publish before the directory save: the in-memory root above is the
+    // current version from here on even if the save fails (the next
+    // successful save persists it), and snapshot pins must track it.
+    entry.cache_tag = PublishVersion(id, entry.root, d.lsn, /*dead=*/false);
+  } else {
+    // Without version chains the cache key is the per-object mutation
+    // generation; bump it and drop the dead generation's entries (the new
+    // root may reuse leaf extents the old one wrote in place).
+    ++entry.cache_tag;
+    if (cache_ != nullptr) cache_->InvalidateObject(id);
+  }
+  Status s = SaveDirectory();
+  Status gc = DrainVersionGcLocked();
+  return s.ok() ? gc : s;
 }
 
 Status Database::PutRoot(uint64_t id, const LobDescriptor& d) {
@@ -569,54 +568,46 @@ StatusOr<std::vector<uint64_t>> Database::ListObjects() {
   SharedLatchGuard guard(dir_latch_);
   std::vector<uint64_t> ids;
   ids.reserve(directory_.size());
-  for (const auto& [id, root] : directory_) ids.push_back(id);
+  for (const auto& [id, entry] : directory_) ids.push_back(id);
   return ids;
 }
 
 Status Database::DropObject(uint64_t id) {
   obs::ScopedOp span("db.drop_object", id, device_.get());
   uint64_t commit_lsn = 0;
-  bool found = false;
   {
     ExclusiveLatchGuard guard(dir_latch_);
-    for (size_t i = 0; i < directory_.size(); ++i) {
-      if (directory_[i].first != id) continue;
-      found = true;
-      EOS_ASSIGN_OR_RETURN(
-          LobDescriptor d, LobDescriptor::Deserialize(directory_[i].second));
-      if (log_ != nullptr) log_->set_current_object(id);
-      // Destroy only frees, but the scope keeps any transient allocation
-      // (and the follow-up directory save) working on a full volume.
-      SegmentAllocator::EmergencyScope emergency;
-      {
-        ScopedFreeCapture capture(allocator_.get(), options_.mvcc);
-        Status s = lob_->Destroy(&d);
-        if (!s.ok()) return span.Close(std::move(s));
-        pending_retired_ = capture.TakeCaptured();
-      }
-      directory_.erase(directory_.begin() + i);
-      holes_.erase(id);
-      last_mutation_.erase(id);
-      if (cache_ != nullptr && !options_.mvcc) {
-        cache_gen_.erase(id);
-        cache_->InvalidateObject(id);
-      }
-      if (options_.mvcc) {
-        // Drop marker: open snapshots keep reading the final content
-        // version; the tree's extents free once the last pin releases.
-        PublishVersion(id, Bytes{}, 0, /*dead=*/true);
-      }
-      Status s = SaveDirectory();
-      if (!s.ok()) return span.Close(std::move(s));
-      s = CommitMutationLocked(id, &commit_lsn);
-      if (!s.ok()) return span.Close(std::move(s));
-      s = DrainVersionGcLocked();
-      if (!s.ok()) return span.Close(std::move(s));
-      break;
+    auto it = directory_.find(id);
+    if (it == directory_.end()) {
+      return span.Close(Status::NotFound("object " + std::to_string(id)));
     }
-  }
-  if (!found) {
-    return span.Close(Status::NotFound("object " + std::to_string(id)));
+    EOS_ASSIGN_OR_RETURN(LobDescriptor d,
+                         LobDescriptor::Deserialize(it->second.root));
+    if (log_ != nullptr) log_->set_current_object(id);
+    // Destroy only frees, but the scope keeps any transient allocation
+    // (and the follow-up directory save) working on a full volume.
+    SegmentAllocator::EmergencyScope emergency;
+    {
+      ScopedFreeCapture capture(allocator_.get(), options_.mvcc);
+      Status s = lob_->Destroy(&d);
+      if (!s.ok()) return span.Close(std::move(s));
+      pending_retired_ = capture.TakeCaptured();
+    }
+    directory_.erase(it);
+    holes_.erase(id);
+    last_mutation_.erase(id);
+    if (cache_ != nullptr && !options_.mvcc) cache_->InvalidateObject(id);
+    if (options_.mvcc) {
+      // Drop marker: open snapshots keep reading the final content
+      // version; the tree's extents free once the last pin releases.
+      PublishVersion(id, Bytes{}, 0, /*dead=*/true);
+    }
+    Status s = SaveDirectory();
+    if (!s.ok()) return span.Close(std::move(s));
+    s = CommitMutationLocked(id, &commit_lsn);
+    if (!s.ok()) return span.Close(std::move(s));
+    s = DrainVersionGcLocked();
+    if (!s.ok()) return span.Close(std::move(s));
   }
   return span.Close(SyncCommit(commit_lsn));
 }
@@ -630,10 +621,9 @@ StatusOr<uint64_t> Database::Size(uint64_t id) {
 StatusOr<Bytes> Database::Read(uint64_t id, uint64_t offset, uint64_t n) {
   SharedLatchGuard guard(dir_latch_);
   obs::ScopedOp span("db.read", id, device_.get());
-  EOS_ASSIGN_OR_RETURN(LobDescriptor d, GetRootLocked(id));
-  uint64_t vseq = CacheVseqLocked(id);
-  ScopedExtentCacheRef cache_scope(vseq == 0 ? nullptr : cache_.get(), id,
-                                   vseq);
+  uint64_t cache_tag = 0;
+  EOS_ASSIGN_OR_RETURN(LobDescriptor d, GetRootLocked(id, &cache_tag));
+  ScopedExtentCacheRef cache_scope(cache_.get(), id, cache_tag);
   Bytes out;
   Status s = lob_->Read(d, offset, n, &out);
   if (!s.ok()) return span.Close(std::move(s));
@@ -835,24 +825,21 @@ Status Database::RecoverImpl(const std::vector<LogRecord>& log) {
           Status::Busy("open snapshots pin pre-recovery versions; release "
                        "all snapshots before Recover()"));
     }
-    LatchGuard vguard(versions_latch_);
-    versions_.clear();
-    gc_ready_.clear();
-    pending_retired_.clear();
+    DropVersionChains();
   }
   if (cache_ != nullptr) {
     // Recovery may rewrite object content without advancing the in-memory
     // version tags (SeedVersionChains restarts every chain at vseq 1, and
-    // the non-mvcc generations describe pre-crash mutations); every cached
-    // image is suspect, so drop them all.
+    // the rebuilt directory restarts every generation); every cached image
+    // is suspect, so drop them all.
     cache_->Clear();
-    cache_gen_.clear();
   }
   // Deserialize every durable root. These are trustworthy: write-through
   // ordering guarantees a durable root only references durable pages.
   std::map<uint64_t, LobDescriptor> roots;
-  for (const auto& [id, root] : directory_) {
-    EOS_ASSIGN_OR_RETURN(LobDescriptor d, LobDescriptor::Deserialize(root));
+  for (const auto& [id, entry] : directory_) {
+    EOS_ASSIGN_OR_RETURN(LobDescriptor d,
+                         LobDescriptor::Deserialize(entry.root));
     roots[id] = d;
   }
 
@@ -894,7 +881,7 @@ Status Database::RecoverImpl(const std::vector<LogRecord>& log) {
   // committed record for it — if the durable directory listed it (i.e. it
   // was untouched since the last checkpoint, or an uncommitted destroy had
   // already rewritten the directory).
-  std::vector<std::pair<uint64_t, Bytes>> old_directory;
+  std::map<uint64_t, DirEntry> old_directory;
   old_directory.swap(directory_);
   for (auto& [id, d] : roots) {
     uint64_t commit_lsn = Recovery::LastCommitLsn(id, log);
@@ -910,10 +897,9 @@ Status Database::RecoverImpl(const std::vector<LogRecord>& log) {
     if (has_committed) {
       keep = !destroyed;
     } else {
-      keep = std::any_of(old_directory.begin(), old_directory.end(),
-                         [id = id](const auto& e) { return e.first == id; });
+      keep = old_directory.contains(id);
     }
-    if (keep) directory_.emplace_back(id, d.Serialize());
+    if (keep) directory_[id].root = d.Serialize();
     if (id >= next_object_id_) next_object_id_ = id + 1;
   }
   s = SaveDirectory();
@@ -929,8 +915,9 @@ Status Database::RecoverImpl(const std::vector<LogRecord>& log) {
 Status Database::CheckIntegrity() {
   SharedLatchGuard guard(dir_latch_);
   EOS_RETURN_IF_ERROR(allocator_->CheckInvariants());
-  for (const auto& [id, root] : directory_) {
-    EOS_ASSIGN_OR_RETURN(LobDescriptor d, LobDescriptor::Deserialize(root));
+  for (const auto& [id, entry] : directory_) {
+    EOS_ASSIGN_OR_RETURN(LobDescriptor d,
+                         LobDescriptor::Deserialize(entry.root));
     EOS_RETURN_IF_ERROR(lob_->CheckInvariants(d));
   }
   if (!dir_object_.empty()) {
@@ -950,8 +937,9 @@ Status Database::LeakCheck(LeakCheckReport* report) {
   if (!dir_object_.empty()) {
     EOS_RETURN_IF_ERROR(lob_->CollectExtents(dir_object_, &refs));
   }
-  for (const auto& [id, root] : directory_) {
-    EOS_ASSIGN_OR_RETURN(LobDescriptor d, LobDescriptor::Deserialize(root));
+  for (const auto& [id, entry] : directory_) {
+    EOS_ASSIGN_OR_RETURN(LobDescriptor d,
+                         LobDescriptor::Deserialize(entry.root));
     EOS_RETURN_IF_ERROR(lob_->CollectExtents(d, &refs));
   }
   if (deferred_frees_ != nullptr) {
@@ -973,15 +961,21 @@ Status Database::LeakCheck(LeakCheckReport* report) {
   //     as doubly-referenced storage.
   std::vector<Extent> vrefs;
   if (options_.mvcc) {
+    // Shards one at a time, then the GC staging: a pin released meanwhile
+    // only moves retired storage from a chain into gc_ready_, which is
+    // read last, so nothing slips between the two cursors.
     std::vector<Bytes> vroots;
-    {
-      LatchGuard vguard(versions_latch_);
-      for (const auto& [id, chain] : versions_) {
+    for (VersionShard& shard : version_shards_) {
+      LatchGuard sg(shard.latch);
+      for (const auto& [id, chain] : shard.chains) {
         for (const ObjectVersion& v : chain) {
           if (!v.dead) vroots.push_back(v.root);
           for (const Extent& e : v.retired) vrefs.push_back(e);
         }
       }
+    }
+    {
+      LatchGuard gg(gc_latch_);
       for (const Extent& e : gc_ready_) vrefs.push_back(e);
     }
     for (const Bytes& root : vroots) {
@@ -1108,8 +1102,9 @@ Status Database::Scrub(ScrubReport* report) {
 // out over a few worker threads (each with its own repair scope and
 // report, merged afterward); otherwise it runs inline.
 Status Database::ScrubObjectsLocked(ScrubReport* report) {
-  std::vector<std::pair<uint64_t, Bytes>> work(directory_.begin(),
-                                               directory_.end());
+  std::vector<std::pair<uint64_t, Bytes>> work;
+  work.reserve(directory_.size());
+  for (const auto& [id, entry] : directory_) work.emplace_back(id, entry.root);
   size_t threads = 1;
   if (options_.parallel_io && volume_set_ != nullptr) {
     threads = std::min<size_t>({4, volume_set_->member_count(), work.size()});
@@ -1176,19 +1171,13 @@ Status Database::RepairObject(uint64_t id) {
   // is the salvage rewrite — neither belongs in the operation log.
   ScopedDirLogSuspend suspend(lob_.get());
   EOS_ASSIGN_OR_RETURN(LobDescriptor repaired, lob_->CreateFrom(content));
-  Status s = Status::OK();
-  for (auto& [oid, root] : directory_) {
-    if (oid == id) {
-      root = repaired.Serialize();
-      break;
-    }
-  }
+  directory_[id].root = repaired.Serialize();
   if (holes.empty()) {
     holes_.erase(id);
   } else {
     holes_[id] = std::move(holes);
   }
-  s = SaveDirectory();
+  Status s = SaveDirectory();
   if (!s.ok()) return span.Close(std::move(s));
 
   // The old tree cannot be freed *through* — its corrupt pages are exactly
@@ -1201,25 +1190,20 @@ Status Database::RepairObject(uint64_t id) {
   // Version chains reference the same untrusted trees; with no pins open
   // (checked above) they are dropped outright and reseeded from the
   // repaired directory once the rebuild is durable.
-  if (options_.mvcc) {
-    LatchGuard vguard(versions_latch_);
-    versions_.clear();
-    gc_ready_.clear();
-    pending_retired_.clear();
-  }
+  if (options_.mvcc) DropVersionChains();
   if (cache_ != nullptr) {
     // SeedVersionChains below restarts every chain at vseq 1, so stale
     // images of *any* object could alias the reseeded tags.
     cache_->Clear();
-    cache_gen_.clear();
   }
   std::vector<Extent> live;
   if (!dir_object_.empty()) {
     s = lob_->CollectExtents(dir_object_, &live);
     if (!s.ok()) return span.Close(std::move(s));
   }
-  for (const auto& [oid, root] : directory_) {
-    EOS_ASSIGN_OR_RETURN(LobDescriptor od, LobDescriptor::Deserialize(root));
+  for (const auto& [oid, entry] : directory_) {
+    EOS_ASSIGN_OR_RETURN(LobDescriptor od,
+                         LobDescriptor::Deserialize(entry.root));
     s = lob_->CollectExtents(od, &live);
     if (!s.ok()) return span.Close(std::move(s));
   }
@@ -1267,44 +1251,48 @@ void Snapshot::Release() {
   db_ = nullptr;
 }
 
-uint64_t Database::CacheVseqLocked(uint64_t id) {
-  if (cache_ == nullptr) return 0;
-  if (options_.mvcc) {
-    LatchGuard vguard(versions_latch_);
-    auto it = versions_.find(id);
-    if (it == versions_.end() || it->second.empty() ||
-        it->second.back().dead) {
-      return 0;
-    }
-    return it->second.back().vseq;
+void Database::DropVersionChains() {
+  for (VersionShard& shard : version_shards_) {
+    LatchGuard sg(shard.latch);
+    shard.chains.clear();
   }
-  auto it = cache_gen_.find(id);
-  return it == cache_gen_.end() ? 1 : it->second;
+  {
+    LatchGuard gg(gc_latch_);
+    gc_ready_.clear();
+  }
+  pending_retired_.clear();
 }
 
 void Database::SeedVersionChains() {
-  LatchGuard vguard(versions_latch_);
-  versions_.clear();
-  gc_ready_.clear();
-  pending_retired_.clear();
-  for (const auto& [id, root] : directory_) {
+  DropVersionChains();
+  for (auto& [id, entry] : directory_) {
     ObjectVersion v;
     v.vseq = 1;
-    v.root = root;
-    auto d = LobDescriptor::Deserialize(root);
+    v.root = entry.root;
+    auto d = LobDescriptor::Deserialize(entry.root);
     if (d.ok()) v.lsn = d.value().lsn;
-    versions_[id].push_back(std::move(v));
+    entry.cache_tag = v.vseq;
+    VersionShard& shard = ShardFor(id);
+    LatchGuard sg(shard.latch);
+    shard.chains[id].push_back(std::move(v));
   }
 }
 
-void Database::PublishVersion(uint64_t id, const Bytes& root, uint64_t lsn,
-                              bool dead) {
+void Database::StageGc(const std::vector<Extent>& extents) {
+  if (extents.empty()) return;
+  LatchGuard gg(gc_latch_);
+  gc_ready_.insert(gc_ready_.end(), extents.begin(), extents.end());
+}
+
+uint64_t Database::PublishVersion(uint64_t id, const Bytes& root,
+                                  uint64_t lsn, bool dead) {
   static obs::Counter* published =
       obs::MetricsRegistry::Default().counter(obs::kTxnVersionsPublished);
   std::vector<Extent> retired = std::move(pending_retired_);
   pending_retired_.clear();
-  LatchGuard vguard(versions_latch_);
-  VersionChain& chain = versions_[id];
+  VersionShard& shard = ShardFor(id);
+  LatchGuard sg(shard.latch);
+  VersionChain& chain = shard.chains[id];
   ObjectVersion v;
   v.root = root;
   v.lsn = lsn;
@@ -1313,16 +1301,18 @@ void Database::PublishVersion(uint64_t id, const Bytes& root, uint64_t lsn,
     // First version (creation): nothing is superseded, so anything the
     // mutation freed was transient — collectable at the next drain.
     v.vseq = 1;
-    gc_ready_.insert(gc_ready_.end(), retired.begin(), retired.end());
+    StageGc(retired);
   } else {
     v.vseq = chain.back().vseq + 1;
     ObjectVersion& prev = chain.back();
     prev.retired.insert(prev.retired.end(), retired.begin(), retired.end());
   }
+  const uint64_t vseq = v.vseq;
   chain.push_back(std::move(v));
   published->Inc();
   CollectChainLocked(id, &chain);
-  if (chain.empty()) versions_.erase(id);
+  if (chain.empty()) shard.chains.erase(id);
+  return vseq;
 }
 
 void Database::CollectChainLocked(uint64_t id, VersionChain* chain) {
@@ -1331,8 +1321,7 @@ void Database::CollectChainLocked(uint64_t id, VersionChain* chain) {
   bool advanced = false;
   while (!chain->empty() && chain->front().pins == 0 &&
          (chain->size() > 1 || chain->front().dead)) {
-    ObjectVersion& v = chain->front();
-    gc_ready_.insert(gc_ready_.end(), v.retired.begin(), v.retired.end());
+    StageGc(chain->front().retired);
     chain->pop_front();
     gcd->Inc();
     advanced = true;
@@ -1349,9 +1338,10 @@ void Database::CollectChainLocked(uint64_t id, VersionChain* chain) {
 void Database::ReleaseSnapshotPin(uint64_t id, uint64_t vseq) {
   static obs::Gauge* open_gauge =
       obs::MetricsRegistry::Default().gauge(obs::kTxnSnapshotsOpen);
-  LatchGuard vguard(versions_latch_);
-  auto it = versions_.find(id);
-  if (it != versions_.end()) {
+  VersionShard& shard = ShardFor(id);
+  LatchGuard sg(shard.latch);
+  auto it = shard.chains.find(id);
+  if (it != shard.chains.end()) {
     for (ObjectVersion& v : it->second) {
       if (v.vseq == vseq) {
         if (v.pins > 0) --v.pins;
@@ -1359,7 +1349,7 @@ void Database::ReleaseSnapshotPin(uint64_t id, uint64_t vseq) {
       }
     }
     CollectChainLocked(id, &it->second);
-    if (it->second.empty()) versions_.erase(it);
+    if (it->second.empty()) shard.chains.erase(it);
   }
   open_gauge->Add(-1);
 }
@@ -1368,11 +1358,7 @@ Status Database::DrainVersionGcLocked() {
   if (!options_.mvcc) return Status::OK();
   std::vector<Extent> ready;
   {
-    LatchGuard vguard(versions_latch_);
-    for (auto it = versions_.begin(); it != versions_.end();) {
-      CollectChainLocked(it->first, &it->second);
-      it = it->second.empty() ? versions_.erase(it) : std::next(it);
-    }
+    LatchGuard gg(gc_latch_);
     ready.swap(gc_ready_);
   }
   if (ready.empty()) return Status::OK();
@@ -1384,8 +1370,7 @@ Status Database::DrainVersionGcLocked() {
       // Re-park the rest (this extent included): the storage stays
       // allocated — a leak-check finding at worst, never a dangling
       // reference.
-      LatchGuard vguard(versions_latch_);
-      gc_ready_.insert(gc_ready_.end(), ready.begin() + i, ready.end());
+      StageGc(std::vector<Extent>(ready.begin() + i, ready.end()));
       return s;
     }
   }
@@ -1393,10 +1378,12 @@ Status Database::DrainVersionGcLocked() {
 }
 
 bool Database::HasOpenPins() {
-  LatchGuard vguard(versions_latch_);
-  for (const auto& [id, chain] : versions_) {
-    for (const ObjectVersion& v : chain) {
-      if (v.pins > 0) return true;
+  for (VersionShard& shard : version_shards_) {
+    LatchGuard sg(shard.latch);
+    for (const auto& [id, chain] : shard.chains) {
+      for (const ObjectVersion& v : chain) {
+        if (v.pins > 0) return true;
+      }
     }
   }
   return false;
@@ -1418,9 +1405,11 @@ StatusOr<Snapshot> Database::BeginSnapshot(uint64_t id) {
   }
   static obs::Gauge* open_gauge =
       obs::MetricsRegistry::Default().gauge(obs::kTxnSnapshotsOpen);
-  LatchGuard vguard(versions_latch_);
-  auto it = versions_.find(id);
-  if (it == versions_.end() || it->second.empty() || it->second.back().dead) {
+  VersionShard& shard = ShardFor(id);
+  LatchGuard sg(shard.latch);
+  auto it = shard.chains.find(id);
+  if (it == shard.chains.end() || it->second.empty() ||
+      it->second.back().dead) {
     return Status::NotFound("object " + std::to_string(id));
   }
   ObjectVersion& v = it->second.back();
@@ -1468,9 +1457,10 @@ StatusOr<std::vector<Database::VersionInfo>> Database::ListVersions(
     info.current = true;
     return std::vector<VersionInfo>{info};
   }
-  LatchGuard vguard(versions_latch_);
-  auto it = versions_.find(id);
-  if (it == versions_.end() || it->second.empty()) {
+  VersionShard& shard = ShardFor(id);
+  LatchGuard sg(shard.latch);
+  auto it = shard.chains.find(id);
+  if (it == shard.chains.end() || it->second.empty()) {
     return Status::NotFound("object " + std::to_string(id));
   }
   std::vector<VersionInfo> out;
@@ -1507,8 +1497,9 @@ StatusOr<std::vector<DefragHost::ObjectFacts>> Database::CollectObjectFacts() {
   SharedLatchGuard guard(dir_latch_);
   std::vector<DefragHost::ObjectFacts> facts;
   facts.reserve(directory_.size());
-  for (const auto& [id, root] : directory_) {
-    EOS_ASSIGN_OR_RETURN(LobDescriptor d, LobDescriptor::Deserialize(root));
+  for (const auto& [id, entry] : directory_) {
+    EOS_ASSIGN_OR_RETURN(LobDescriptor d,
+                         LobDescriptor::Deserialize(entry.root));
     EOS_ASSIGN_OR_RETURN(LobStats stats, lob_->Stats(d));
     DefragHost::ObjectFacts f;
     f.id = id;

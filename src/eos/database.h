@@ -1,6 +1,7 @@
 #ifndef EOS_EOS_DATABASE_H_
 #define EOS_EOS_DATABASE_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <deque>
@@ -212,6 +213,11 @@ class Database : private DefragHost {
   static constexpr uint16_t kFormatEpoch = 1;
   static constexpr PageId kSuperblockPage = 0;
   static constexpr PageId kFirstSpacePage = 1;
+  // MVCC version chains are split into this many independently latched
+  // shards by object id (DESIGN.md §13), so pinning or publishing one
+  // object never waits on another object's chain.
+  static constexpr size_t kVersionShards = 64;
+  static size_t VersionShardOf(uint64_t id) { return id % kVersionShards; }
 
   // Creates a new volume file (truncating any existing one).
   static StatusOr<std::unique_ptr<Database>> Create(
@@ -436,7 +442,9 @@ class Database : private DefragHost {
   // ----- latch-free internals (caller holds dir_latch_) ---------------------
 
   StatusOr<uint64_t> CreateObjectLocked();
-  StatusOr<LobDescriptor> GetRootLocked(uint64_t id);
+  // Also reports the entry's cache tag when `cache_tag` is non-null.
+  StatusOr<LobDescriptor> GetRootLocked(uint64_t id,
+                                        uint64_t* cache_tag = nullptr);
   Status PutRootLocked(uint64_t id, const LobDescriptor& d);
   Status FlushLocked();
   Status CheckpointLocked();
@@ -446,12 +454,6 @@ class Database : private DefragHost {
   // Records a foreground mutation of `id` on the heat clock, so the
   // defragmenter can tell cold objects from ones still being written.
   void TouchLocked(uint64_t id);
-
-  // The version tag Read() binds into the extent cache for `id`: the
-  // chain-current vseq under mvcc, the per-object mutation generation
-  // otherwise. 0 (don't cache) when the cache is off or the id is unknown.
-  // Caller holds dir_latch_ (shared suffices).
-  uint64_t CacheVseqLocked(uint64_t id);
 
   // ----- version chains (MVCC, DESIGN.md §13) --------------------------------
 
@@ -468,28 +470,49 @@ class Database : private DefragHost {
   };
   using VersionChain = std::deque<ObjectVersion>;
 
+  // One shard of the version chains: a leaf latch over the chains of the
+  // ids that hash to it (VersionShardOf). Aligned so neighbouring shard
+  // latches do not share a cache line.
+  struct alignas(64) VersionShard {
+    Latch latch;
+    std::map<uint64_t, VersionChain> chains;
+  };
+  VersionShard& ShardFor(uint64_t id) {
+    return version_shards_[VersionShardOf(id)];
+  }
+
   // Rebuilds every chain from directory_ (open, recovery): one unpinned
-  // current version per object. Clears gc staging and stale capture state.
+  // current version per object, whose vseq becomes the entry's cache tag.
+  // Clears gc staging and stale capture state.
   void SeedVersionChains();
+  // Forgets every chain and all staged GC without freeing anything: the
+  // storage they describe is about to be reclaimed by an allocation-map
+  // rebuild (Recover, RepairObject).
+  void DropVersionChains();
   // Appends a new current version for `id` under dir_latch_ exclusive,
-  // attaching pending_retired_ to the superseded version, then drains
-  // whatever became collectable into gc_ready_.
-  void PublishVersion(uint64_t id, const Bytes& root, uint64_t lsn,
-                      bool dead);
+  // attaching pending_retired_ to the superseded version, then stages
+  // whatever became collectable into gc_ready_. Returns the new vseq.
+  uint64_t PublishVersion(uint64_t id, const Bytes& root, uint64_t lsn,
+                          bool dead);
   // FIFO-drains the chain front (collectable = unpinned and superseded, or
   // an unpinned drop marker), staging retire batches into gc_ready_. When
   // the front advances, cached extents of the collected versions — which no
   // reader can pin anymore — are dropped from the extent cache. Caller
-  // holds versions_latch_ (the cache's shard latches are leaves below it).
+  // holds the chain's shard latch (gc_latch_ and the cache's shard latches
+  // are leaves below it).
   void CollectChainLocked(uint64_t id, VersionChain* chain);
-  // Unpin from Snapshot teardown: may run on any thread, takes only
-  // versions_latch_, never calls into the allocator (a writer may have a
-  // capturing interceptor installed) — collectable storage waits in
-  // gc_ready_ for the next exclusive-latched drain.
+  // Appends to gc_ready_ under gc_latch_.
+  void StageGc(const std::vector<Extent>& extents);
+  // Unpin from Snapshot teardown: may run on any thread, takes only the
+  // object's shard latch (and gc_latch_), never calls into the allocator
+  // (a writer may have a capturing interceptor installed) — collectable
+  // storage waits in gc_ready_ for the next exclusive-latched drain.
   void ReleaseSnapshotPin(uint64_t id, uint64_t vseq);
   // Frees gc_ready_ through the normal allocator path (landing in the
   // CheckpointFreeList in crash-safe mode). Caller holds dir_latch_
-  // exclusive with no capture scope installed.
+  // exclusive with no capture scope installed. No chain is swept here:
+  // a chain only becomes collectable by a publish or a pin release, and
+  // both collect the chain they changed.
   Status DrainVersionGcLocked();
   // True if any snapshot pin is open (mvcc only).
   bool HasOpenPins();
@@ -526,12 +549,20 @@ class Database : private DefragHost {
 
   uint64_t next_object_id_ = 1;
   std::map<uint64_t, uint32_t> threshold_hints_;
-  // Non-mvcc cache versioning: bumped on every root publication so stale
-  // cache keys die with their generation (guarded by dir_latch_).
-  std::map<uint64_t, uint64_t> cache_gen_;
   LobDescriptor dir_object_;  // the directory's own root
-  std::vector<std::pair<uint64_t, Bytes>> directory_;  // id -> root image
-  std::map<uint64_t, std::vector<HoleRange>> holes_;   // id -> hole map
+
+  // One live object. `cache_tag` is the version tag Read() binds into the
+  // extent cache: the chain-current vseq under mvcc, otherwise a mutation
+  // generation bumped on every root publication so stale cache keys die
+  // with their generation. Either way it is maintained under dir_latch_
+  // exclusive, so a reader holding it shared needs no other latch.
+  struct DirEntry {
+    Bytes root;  // serialized LobDescriptor
+    uint64_t cache_tag = 1;
+  };
+  // Id-ordered, which is also SaveDirectory's serialization order.
+  std::map<uint64_t, DirEntry> directory_;
+  std::map<uint64_t, std::vector<HoleRange>> holes_;  // id -> hole map
 
   // Reader/writer latch over the directory and all object state above;
   // shared for reads/stats, exclusive for mutations. Mutable so const
@@ -545,14 +576,17 @@ class Database : private DefragHost {
   std::map<uint64_t, uint64_t> last_mutation_;
   std::unique_ptr<Defragmenter> defrag_;
 
-  // MVCC state. versions_/gc_ready_ are guarded by versions_latch_ — a
-  // leaf latch below dir_latch_ (writers hold both; BeginSnapshot and pin
-  // release take only versions_latch_, which is what keeps readers off the
-  // directory latch). pending_retired_ is a writer-side staging slot and
-  // is guarded by dir_latch_ exclusive alone.
-  std::map<uint64_t, VersionChain> versions_;
+  // MVCC state. Latch order: dir_latch_ -> one version shard -> gc_latch_
+  // -> extent-cache shard. Writers hold dir_latch_ exclusive and then the
+  // one shard of the object they publish; BeginSnapshot and pin release
+  // take only that shard, which is what keeps readers off the directory
+  // latch and off each other. Whole-table walkers take the shards one at
+  // a time, never two at once. gc_ready_ (storage staged for the next
+  // drain) is guarded by gc_latch_; pending_retired_ is a writer-side
+  // staging slot guarded by dir_latch_ exclusive alone.
+  std::array<VersionShard, kVersionShards> version_shards_;
+  Latch gc_latch_;
   std::vector<Extent> gc_ready_;
-  mutable Latch versions_latch_;
   std::vector<Extent> pending_retired_;
 };
 

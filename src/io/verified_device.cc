@@ -64,25 +64,26 @@ Status VerifiedPageDevice::VerifyPage(const uint8_t* physical,
                                       uint32_t physical_page_size, PageId id,
                                       uint16_t epoch) {
   const uint8_t* trailer = physical + physical_page_size - kTrailerBytes;
-  std::string page = "page " + std::to_string(id);
+  // Failure messages only: a good page must not pay for the string.
+  auto page = [id] { return "page " + std::to_string(id); };
   if (DecodeU16(trailer) != kTrailerMagic) {
-    return Status::Corruption(page +
+    return Status::Corruption(page() +
                               ": missing integrity trailer (unwritten, torn "
                               "or pre-checksum page)");
   }
   if (DecodeU16(trailer + 2) != epoch) {
-    return Status::Corruption(page + ": format epoch " +
+    return Status::Corruption(page() + ": format epoch " +
                               std::to_string(DecodeU16(trailer + 2)) +
                               " does not match volume epoch " +
                               std::to_string(epoch));
   }
   if (DecodeU64(trailer + 4) != id) {
-    return Status::Corruption(page + ": trailer names page " +
+    return Status::Corruption(page() + ": trailer names page " +
                               std::to_string(DecodeU64(trailer + 4)) +
                               " (misdirected I/O)");
   }
   if (DecodeU32(trailer + 12) != TrailerCrc(physical, physical_page_size)) {
-    return Status::Corruption(page + ": checksum mismatch");
+    return Status::Corruption(page() + ": checksum mismatch");
   }
   return Status::OK();
 }

@@ -105,16 +105,10 @@ StatusOr<PageId> NodeStore::WriteNew(const LobNode& node) {
 }
 
 Status NodeStore::FreePage(PageId page) {
-  // Under a reservation the free below is merely parked, so an unwind
-  // brings this page back live — but Invalidate may drop a not-yet-flushed
-  // frame. Save the current image so unwind can rewrite it.
-  if (SpaceReservation* res = SpaceReservation::ActiveFor(allocator_)) {
-    auto old = pager_->Fetch(page);
-    if (old.ok()) {
-      res->RecordPageImage(page, old.value().data(), page_size_);
-    }
-  }
-  pager_->Invalidate(page);
+  // The page's cached frame stays: the free may only be parked (by a
+  // reservation, or as a superseded version's retired storage), and the
+  // frame can be the only good copy of the page. The allocator drops it
+  // once the page is really free.
   return allocator_->Free(Extent{page, 1});
 }
 

@@ -1,5 +1,6 @@
 #include "obs/op_tracer.h"
 
+#include <algorithm>
 #include <cstdio>
 
 #include "io/page_device.h"
@@ -19,23 +20,74 @@ std::chrono::steady_clock::time_point TraceEpoch() {
   return epoch;
 }
 
+std::atomic<uint64_t> g_tracer_ids{1};
+
+// Spans open on this thread, across all tracers: the next span's depth.
+thread_local uint32_t t_open_spans = 0;
+
+// The "op.<name>.us" histogram for a span name. Span names are static
+// strings, so a per-thread memo keyed by address goes to the registry (and
+// its latch) only the first time a thread records a name.
+Histogram* OpHistogram(const char* op) {
+  thread_local std::unordered_map<const char*, Histogram*> memo;
+  Histogram*& h = memo[op];
+  if (h == nullptr) {
+    h = MetricsRegistry::Default().histogram(std::string("op.") + op + ".us");
+  }
+  return h;
+}
+
 }  // namespace
+
+// One thread's spans. The latch is taken by the owning thread to record and
+// by readers to copy, so recording is effectively uncontended.
+struct OpTracer::Ring {
+  explicit Ring(size_t cap_in) : cap(cap_in) {}
+
+  Latch latch;
+  size_t cap;                 // retained spans, at most
+  std::vector<OpSpan> slots;  // circular once it holds `cap` spans
+  size_t next = 0;            // overwrite cursor once full
+};
 
 OpTracer& OpTracer::Default() {
   static OpTracer* tracer = new OpTracer();
   return *tracer;
 }
 
-OpTracer::OpTracer(size_t capacity) : cap_(capacity == 0 ? 1 : capacity) {
-  ring_.reserve(cap_);
+OpTracer::OpTracer(size_t capacity)
+    : id_(g_tracer_ids.fetch_add(1, std::memory_order_relaxed)),
+      cap_(capacity == 0 ? 1 : capacity) {}
+
+OpTracer::~OpTracer() = default;
+
+OpTracer::Ring* OpTracer::RingForThisThread() {
+  // One-entry cache: hooks report to the default tracer, so the
+  // registration latch is taken once per thread.
+  thread_local uint64_t cached_id = 0;
+  thread_local Ring* cached_ring = nullptr;
+  if (cached_id == id_) return cached_ring;
+  LatchGuard g(latch_);
+  Ring*& ring = by_thread_[std::this_thread::get_id()];
+  if (ring == nullptr) {
+    rings_.push_back(std::make_unique<Ring>(cap_));
+    ring = rings_.back().get();
+  }
+  cached_id = id_;
+  cached_ring = ring;
+  return ring;
 }
 
 void OpTracer::SetCapacity(size_t capacity) {
   LatchGuard g(latch_);
   cap_ = capacity == 0 ? 1 : capacity;
-  ring_.clear();
-  ring_.reserve(cap_);
-  next_ = 0;
+  for (const auto& r : rings_) {
+    LatchGuard rg(r->latch);
+    r->cap = cap_;
+    r->slots.clear();
+    r->slots.shrink_to_fit();
+    r->next = 0;
+  }
 }
 
 size_t OpTracer::capacity() const {
@@ -45,35 +97,47 @@ size_t OpTracer::capacity() const {
 
 void OpTracer::Clear() {
   LatchGuard g(latch_);
-  ring_.clear();
-  next_ = 0;
-  total_ = 0;
+  for (const auto& r : rings_) {
+    LatchGuard rg(r->latch);
+    r->slots.clear();
+    r->next = 0;
+  }
+  seq_.store(0, std::memory_order_relaxed);
 }
 
 uint64_t OpTracer::total() const {
-  LatchGuard g(latch_);
-  return total_;
+  return seq_.load(std::memory_order_relaxed);
 }
 
 void OpTracer::Push(OpSpan&& span) {
-  LatchGuard g(latch_);
-  span.seq = ++total_;
-  if (ring_.size() < cap_) {
-    ring_.push_back(std::move(span));
+  Ring* ring = RingForThisThread();
+  span.seq = seq_.fetch_add(1, std::memory_order_relaxed) + 1;
+  LatchGuard g(ring->latch);
+  if (ring->slots.size() < ring->cap) {
+    ring->slots.push_back(std::move(span));
   } else {
-    ring_[next_] = std::move(span);
-    next_ = (next_ + 1) % cap_;
+    ring->slots[ring->next] = std::move(span);
+    ring->next = (ring->next + 1) % ring->cap;
   }
 }
 
 std::vector<OpSpan> OpTracer::Spans() const {
-  LatchGuard g(latch_);
   std::vector<OpSpan> out;
-  out.reserve(ring_.size());
-  // Once the ring is full, next_ points at the oldest retained span.
-  for (size_t i = 0; i < ring_.size(); ++i) {
-    out.push_back(ring_[(next_ + i) % ring_.size()]);
+  size_t cap;
+  {
+    LatchGuard g(latch_);
+    cap = cap_;
+    for (const auto& r : rings_) {
+      LatchGuard rg(r->latch);
+      out.insert(out.end(), r->slots.begin(), r->slots.end());
+    }
   }
+  // Each ring keeps its own newest `cap`, so the newest `cap` overall are
+  // all here; merge by sequence and keep those.
+  std::sort(out.begin(), out.end(), [](const OpSpan& a, const OpSpan& b) {
+    return a.seq < b.seq;
+  });
+  if (out.size() > cap) out.erase(out.begin(), out.end() - cap);
   return out;
 }
 
@@ -186,7 +250,7 @@ ScopedOp::ScopedOp(const char* op, uint64_t object_id, PageDevice* device,
   if (!Enabled()) return;
   active_ = true;
   tracer_ = tracer != nullptr ? tracer : &OpTracer::Default();
-  depth_ = tracer_->Enter();
+  depth_ = t_open_spans++;
   TraceEpoch();  // pin the epoch no later than the first span's start
   start_ = std::chrono::steady_clock::now();
   if (device_ != nullptr) io_start_ = device_->stats();
@@ -196,7 +260,7 @@ ScopedOp::ScopedOp(const char* op, uint64_t object_id, PageDevice* device,
 
 ScopedOp::~ScopedOp() {
   if (!active_) return;
-  tracer_->Exit();
+  --t_open_spans;
   OpSpan span;
   span.op = op_;
   span.object_id = object_id_;
@@ -220,9 +284,7 @@ ScopedOp::~ScopedOp() {
   span.buddy_coalesces = now.buddy_coalesces - snap_.buddy_coalesces;
   span.reshuffles = now.reshuffles - snap_.reshuffles;
   span.log_records = now.log_records - snap_.log_records;
-  MetricsRegistry::Default()
-      .histogram(std::string("op.") + op_ + ".us")
-      ->Record(span.wall_us);
+  OpHistogram(op_)->Record(span.wall_us);
   RecordEvent(EventKind::kOpEnd, op_, object_id_, span.wall_us,
               span.io.transfers(), ok_);
   tracer_->Push(std::move(span));

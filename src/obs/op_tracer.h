@@ -4,7 +4,10 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "common/latch.h"
@@ -27,8 +30,8 @@ namespace obs {
 struct OpSpan {
   const char* op = "";      // static string, e.g. "db.append"
   uint64_t object_id = 0;   // 0 when unknown at this layer
-  uint64_t seq = 0;         // monotone per tracer
-  uint32_t depth = 0;       // nesting depth at begin (0 = outermost)
+  uint64_t seq = 0;         // monotone per tracer, across all threads
+  uint32_t depth = 0;       // spans already open on this thread at begin
   bool ok = true;
   uint64_t start_us = 0;    // begin time, us since the process trace epoch
   uint64_t wall_us = 0;
@@ -43,9 +46,12 @@ struct OpSpan {
   uint64_t log_records = 0;
 };
 
-// Bounded in-memory ring of recent spans. Recording is O(1) and keeps the
-// last `capacity` spans; total() still counts every span ever recorded so
-// wraparound is observable.
+// Bounded in-memory record of recent spans. Each thread records into its
+// own ring (one uncontended latch per ring, so recording threads never
+// queue behind each other); a relaxed-atomic sequence number orders spans
+// across threads, and Spans() merges the rings by it. Keeps the last
+// `capacity` spans overall; total() still counts every span ever recorded
+// so wraparound is observable.
 class OpTracer {
  public:
   static constexpr size_t kDefaultCapacity = 512;
@@ -54,6 +60,10 @@ class OpTracer {
   static OpTracer& Default();
 
   explicit OpTracer(size_t capacity = kDefaultCapacity);
+  ~OpTracer();
+
+  OpTracer(const OpTracer&) = delete;
+  OpTracer& operator=(const OpTracer&) = delete;
 
   // Drops recorded spans when shrinking; capacity must be >= 1.
   void SetCapacity(size_t capacity);
@@ -62,7 +72,7 @@ class OpTracer {
   void Clear();
   uint64_t total() const;  // spans ever recorded (>= Spans().size())
 
-  // Retained spans, oldest first.
+  // The newest capacity() spans across all threads, in sequence order.
   std::vector<OpSpan> Spans() const;
 
   JsonValue ToJsonValue() const;
@@ -70,23 +80,26 @@ class OpTracer {
 
  private:
   friend class ScopedOp;
+  struct Ring;
 
+  Ring* RingForThisThread();
   void Push(OpSpan&& span);
-  uint32_t Enter() { return depth_.fetch_add(1, std::memory_order_relaxed); }
-  void Exit() { depth_.fetch_sub(1, std::memory_order_relaxed); }
 
-  mutable Latch latch_;
+  const uint64_t id_;  // process-unique, validates the thread-local ring cache
+  std::atomic<uint64_t> seq_{0};
+
+  mutable Latch latch_;  // guards cap_ and rings_/by_thread_ registration
   size_t cap_;
-  std::vector<OpSpan> ring_;  // circular once full
-  size_t next_ = 0;           // insertion cursor
-  uint64_t total_ = 0;
-  std::atomic<uint32_t> depth_{0};
+  std::vector<std::unique_ptr<Ring>> rings_;
+  std::unordered_map<std::thread::id, Ring*> by_thread_;
 };
 
 // RAII span: snapshots the device IoStats and the well-known component
 // counters at construction, and on destruction records the deltas (plus
 // wall time) into the tracer's ring and an "op.<name>.us" latency histogram
-// in the default registry. Inert when observability is disabled.
+// in the default registry. `op` must be a static string: the histogram is
+// resolved once per name and thread, keyed by its address. Nesting depth is
+// counted per thread. Inert when observability is disabled.
 class ScopedOp {
  public:
   // `device` may be null (no I/O attribution); `tracer` defaults to

@@ -17,7 +17,9 @@
 #include <chrono>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <random>
+#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -158,6 +160,256 @@ TEST(MvccTortureTest, SnapshotIsolationUnderConcurrentChurn) {
 
   EOS_ASSERT_OK(driver.VerifyAll());
   ExpectClean(db->get());
+}
+
+// ----- sharded version chains ------------------------------------------------
+
+// Writers publish while snapshot readers pin and release objects whose
+// chains share a version shard and objects on different shards, and a
+// third party checkpoints (draining version GC) throughout. Each object
+// has its own oracle mutex: a pin and its expected bytes are taken
+// together, and the pinned read itself runs outside it, concurrently with
+// newer publishes of that object.
+TEST(MvccTortureTest, ShardedChainsUnderPublishPinAndCheckpoint) {
+  const uint64_t seed = TestSeed(0x5A4D);
+  SCOPED_TRACE("seed " + std::to_string(seed) +
+               " (re-run with EOS_TEST_SEED=<seed>)");
+  DatabaseOptions opt = MvccOptions();
+  opt.cache_bytes = 64u << 10;  // cache tags follow the chains too
+  auto db = Database::CreateInMemory(opt);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  Database* dbp = db->get();
+
+  // Ids are handed out from 1, so one more object than a full round of
+  // shards puts the first and the last created on the same shard.
+  std::vector<uint64_t> all;
+  std::vector<std::string> initial;
+  for (size_t i = 0; i <= Database::kVersionShards + 1; ++i) {
+    Bytes content = PatternBytes(seed + i, 1500);
+    auto id = dbp->CreateObjectFrom(content);
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
+    all.push_back(*id);
+    initial.push_back(AsString(content));
+  }
+  // Two same-shard pairs, then two ids on shards of their own.
+  const size_t k = Database::kVersionShards;
+  const std::vector<size_t> picks = {0, k, 1, k + 1, 2, 3};
+  std::vector<uint64_t> ids;
+  for (size_t p : picks) ids.push_back(all[p]);
+  ASSERT_EQ(Database::VersionShardOf(ids[0]), Database::VersionShardOf(ids[1]));
+  ASSERT_EQ(Database::VersionShardOf(ids[2]), Database::VersionShardOf(ids[3]));
+  std::set<size_t> distinct;
+  for (size_t i : {0, 2, 4, 5}) {
+    distinct.insert(Database::VersionShardOf(ids[i]));
+  }
+  ASSERT_EQ(distinct.size(), 4u);
+
+  struct Oracle {
+    std::mutex mu;
+    std::string content;
+  };
+  std::vector<Oracle> oracle(ids.size());
+  for (size_t i = 0; i < ids.size(); ++i) {
+    oracle[i].content = initial[picks[i]];
+  }
+
+  constexpr int kWriters = 2;
+  constexpr int kReaders = 3;
+  constexpr int kStepsPerWriter = 150;
+  constexpr int kReadsPerReader = 200;
+  std::atomic<bool> failed{false};
+  std::atomic<int> writers_left{kWriters};
+  std::mutex error_mu;
+  std::string errors;
+  auto fail = [&](const std::string& why) {
+    std::lock_guard<std::mutex> g(error_mu);
+    errors += why + "\n";
+    failed.store(true);
+  };
+
+  std::vector<std::thread> threads;
+  // Writer w owns every other object, so each same-shard pair has one
+  // object per writer.
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      std::mt19937_64 rng(seed * 31 + static_cast<uint64_t>(w));
+      for (int step = 0; step < kStepsPerWriter && !failed.load(); ++step) {
+        size_t i = static_cast<size_t>(w) + 2 * (rng() % (ids.size() / 2));
+        std::lock_guard<std::mutex> g(oracle[i].mu);
+        std::string& want = oracle[i].content;
+        Bytes data = PatternBytes(rng(), 1 + rng() % 600);
+        std::string text = AsString(data);
+        Status s;
+        uint64_t off = rng() % (want.size() + 1);
+        switch (rng() % 3) {
+          case 0:
+            s = dbp->Append(ids[i], data);
+            if (s.ok()) want += text;
+            break;
+          case 1:
+            text.resize(std::min<size_t>(text.size(), want.size() - off));
+            if (text.empty()) break;
+            s = dbp->Replace(ids[i], off, ByteView(text));
+            if (s.ok()) want.replace(off, text.size(), text);
+            break;
+          default: {
+            uint64_t n = std::min<uint64_t>(want.size() - off,
+                                            want.size() > 3000 ? 900 : 200);
+            if (n == 0) break;
+            s = dbp->Delete(ids[i], off, n);
+            if (s.ok()) want.erase(off, n);
+            break;
+          }
+        }
+        if (!s.ok()) fail("writer: " + s.ToString());
+      }
+      writers_left.fetch_sub(1);
+    });
+  }
+  for (int r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&, r] {
+      std::mt19937_64 rng(seed * 77 + static_cast<uint64_t>(r));
+      for (int k = 0; k < kReadsPerReader && !failed.load(); ++k) {
+        size_t i = rng() % ids.size();
+        std::string expected;
+        Snapshot snap;
+        {
+          std::lock_guard<std::mutex> g(oracle[i].mu);
+          expected = oracle[i].content;
+          if (rng() % 4 == 0) {
+            // Current-version read: binds the directory's cache tag.
+            auto got = dbp->Read(ids[i], 0, expected.size() + 1);
+            if (!got.ok() || AsString(*got) != expected) {
+              fail("Read of object " + std::to_string(ids[i]) +
+                   " differs from its oracle");
+            }
+            continue;
+          }
+          auto pinned = dbp->BeginSnapshot(ids[i]);
+          if (!pinned.ok()) {
+            fail("pin: " + pinned.status().ToString());
+            return;
+          }
+          snap = std::move(pinned).value();
+        }
+        uint64_t off = rng() % (expected.size() + 1);
+        uint64_t n = rng() % 2000;
+        auto got = dbp->SnapshotRead(snap, off, n);
+        std::string want = expected.substr(off, n);
+        if (!got.ok() || AsString(*got) != want) {
+          fail("snapshot v" + std::to_string(snap.vseq()) + " of object " +
+               std::to_string(ids[i]) + " differs from its oracle");
+        }
+        // Released here, on this thread, racing other releases and
+        // publishes on the same shard.
+      }
+    });
+  }
+  threads.emplace_back([&] {
+    while (writers_left.load() > 0 && !failed.load()) {
+      Status s = dbp->Checkpoint();
+      if (!s.ok()) fail("checkpoint: " + s.ToString());
+      std::this_thread::yield();
+    }
+  });
+  for (std::thread& t : threads) t.join();
+  ASSERT_FALSE(failed.load()) << errors;
+
+  for (size_t i = 0; i < ids.size(); ++i) {
+    auto got = dbp->Read(ids[i], 0, oracle[i].content.size() + 1);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(AsString(*got), oracle[i].content) << "object " << ids[i];
+  }
+  ExpectClean(dbp);
+}
+
+// The invariant that lets a drain skip sweeping every chain: releasing the
+// last pin collects the chain it unpinned, so the next drain frees the
+// superseded version's retired extents even when nothing mutates that
+// object again — first a Checkpoint(), then a mutation of an object on
+// another shard.
+TEST(MvccTortureTest, ReleasedPinIsFreedByTheNextDrainWithoutMutation) {
+  const uint64_t seed = TestSeed(0xD2A1);
+  auto db = Database::CreateInMemory(MvccOptions());
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  Database* dbp = db->get();
+  const size_t kBytes = 6000;
+  auto id = dbp->CreateObjectFrom(PatternBytes(seed, kBytes));
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  auto other = dbp->CreateObjectFrom(PatternBytes(seed + 1, 2000));
+  ASSERT_TRUE(other.ok()) << other.status().ToString();
+  ASSERT_NE(Database::VersionShardOf(*id), Database::VersionShardOf(*other));
+  EOS_ASSERT_OK(dbp->Checkpoint());
+
+  for (int round = 0; round < 2; ++round) {
+    SCOPED_TRACE(round == 0 ? "drained by Checkpoint()"
+                            : "drained by a mutation of another object");
+    auto free_before = dbp->allocator()->TotalFreePages();
+    ASSERT_TRUE(free_before.ok());
+    auto v1 = dbp->BeginSnapshot(*id);
+    ASSERT_TRUE(v1.ok()) << v1.status().ToString();
+    // A whole-object copy-on-write replace: v2 takes exactly as many pages
+    // as v1, and v1's are retired to it while the pin holds them.
+    EOS_ASSERT_OK(dbp->Replace(*id, 0, PatternBytes(seed + 10 + round,
+                                                    kBytes)));
+    auto chain = dbp->ListVersions(*id);
+    ASSERT_TRUE(chain.ok());
+    ASSERT_EQ(chain->size(), 2u);
+    EXPECT_GT(chain->front().retired_extents, 0u);
+    auto free_pinned = dbp->allocator()->TotalFreePages();
+    ASSERT_TRUE(free_pinned.ok());
+    EXPECT_LT(*free_pinned, *free_before) << "the pin holds v1's pages";
+
+    v1->Release();
+    chain = dbp->ListVersions(*id);
+    ASSERT_TRUE(chain.ok());
+    EXPECT_EQ(chain->size(), 1u) << "the release collects its own chain";
+    auto free_released = dbp->allocator()->TotalFreePages();
+    ASSERT_TRUE(free_released.ok());
+    EXPECT_EQ(*free_released, *free_pinned) << "freed only by a drain";
+
+    if (round == 0) {
+      EOS_ASSERT_OK(dbp->Checkpoint());
+    } else {
+      EOS_ASSERT_OK(dbp->Replace(*other, 0, PatternBytes(seed + 20, 2000)));
+    }
+    auto free_after = dbp->allocator()->TotalFreePages();
+    ASSERT_TRUE(free_after.ok());
+    EXPECT_EQ(*free_after, *free_before);
+  }
+  ExpectClean(dbp);
+}
+
+// A newer version shadows the index nodes of a pinned one while their
+// frames are still dirty in the write-back pager. Freeing a page only parks
+// it as retired storage, so its frame — the only copy of the node — must
+// survive until the page is really freed, and the pinned version must read
+// back exactly from the device once the pager is emptied.
+TEST(MvccTortureTest, PinnedVersionSurvivesShadowingOfDirtyIndexNodes) {
+  const uint64_t seed = TestSeed(0x5EAD);
+  DatabaseOptions opt = MvccOptions();
+  opt.lob.max_segment_pages = 2;  // many leaves and a tiny root: a deep tree
+  opt.lob.max_root_bytes = 64;
+  auto db = Database::CreateInMemory(opt);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  Database* dbp = db->get();
+  Bytes content = PatternBytes(seed, 24u << 10);
+  auto id = dbp->CreateObjectFrom(content);
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  auto stats = dbp->ObjectStats(*id);
+  ASSERT_TRUE(stats.ok());
+  ASSERT_GT(stats->index_pages, 0u) << "the object needs index nodes";
+  auto v1 = dbp->BeginSnapshot(*id);
+  ASSERT_TRUE(v1.ok()) << v1.status().ToString();
+
+  EOS_ASSERT_OK(dbp->Append(*id, PatternBytes(seed + 1, 700)));
+  EOS_ASSERT_OK(dbp->Insert(*id, 100, PatternBytes(seed + 2, 300)));
+  EOS_ASSERT_OK(dbp->pager()->EvictAll());  // next reads go to the device
+  auto got = dbp->SnapshotRead(*v1, 0, content.size() + 1);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(*got, content);
+  v1->Release();
+  ExpectClean(dbp);
 }
 
 // ----- failed mutations leave the pinned version intact ----------------------

@@ -1,10 +1,12 @@
 // Unit tests for the observability layer: metric semantics (counters,
 // gauges, power-of-two histograms), the registry JSON exporter, span
-// nesting and ring wraparound in the OpTracer, the on-disk snapshot
-// sidecar, and the IoStats arithmetic the spans are built on.
+// nesting (per thread), ring wraparound and the per-thread ring merge in
+// the OpTracer, the on-disk snapshot sidecar, and the IoStats arithmetic
+// the spans are built on.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -232,6 +234,97 @@ TEST(OpTracerTest, RingWrapsKeepingNewestSpans) {
   tracer.Clear();
   EXPECT_TRUE(tracer.Spans().empty());
   EXPECT_EQ(tracer.total(), 0u) << "Clear is a full reset";
+}
+
+// Two threads nest spans three deep while each other's spans are open: a
+// span's depth counts only the spans open on its own thread.
+TEST(OpTracerTest, DepthIsPerThreadUnderConcurrency) {
+  static const char* const kLevels[] = {"test.depth0", "test.depth1",
+                                        "test.depth2"};
+  constexpr int kRounds = 50;
+  OpTracer tracer(1024);
+  std::atomic<int> outer_open{0};
+  auto worker = [&](uint64_t thread) {
+    for (int r = 0; r < kRounds; ++r) {
+      ScopedOp l0(kLevels[0], thread, nullptr, &tracer);
+      // Nest only once both threads hold an open outer span, so a shared
+      // depth counter would be off by one for every inner span.
+      outer_open.fetch_add(1);
+      while (outer_open.load() < 2 * (r + 1)) std::this_thread::yield();
+      ScopedOp l1(kLevels[1], thread, nullptr, &tracer);
+      { ScopedOp l2(kLevels[2], thread, nullptr, &tracer); }
+    }
+  };
+  std::thread a(worker, 1);
+  std::thread b(worker, 2);
+  a.join();
+  b.join();
+  std::vector<OpSpan> spans = tracer.Spans();
+  ASSERT_EQ(spans.size(), 2u * kRounds * 3);
+  for (const OpSpan& s : spans) {
+    uint32_t want = 0;
+    while (want < 3 && std::string(s.op) != kLevels[want]) ++want;
+    ASSERT_LT(want, 3u) << s.op;
+    EXPECT_EQ(s.depth, want) << s.op << " on thread " << s.object_id;
+  }
+}
+
+// Four threads record at once into their own rings: Spans() merges them
+// into exactly the newest capacity() spans in sequence order, total()
+// counts every span, and SetCapacity/Clear reset every thread's ring.
+TEST(OpTracerTest, PerThreadRingsMergeNewestSpansInSequenceOrder) {
+  constexpr uint64_t kThreads = 4;
+  constexpr uint64_t kPerThread = 100;
+  constexpr uint64_t kCapacity = 64;
+  OpTracer tracer(kCapacity);
+  auto record = [&](uint64_t spans_each) {
+    std::vector<std::thread> threads;
+    for (uint64_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        for (uint64_t i = 0; i < spans_each; ++i) {
+          ScopedOp span("test.ring", t * 1000 + i, nullptr, &tracer);
+        }
+      });
+    }
+    for (auto& th : threads) th.join();
+  };
+  record(kPerThread);
+  const uint64_t total = kThreads * kPerThread;
+  EXPECT_EQ(tracer.total(), total);
+  std::vector<OpSpan> spans = tracer.Spans();
+  ASSERT_EQ(spans.size(), kCapacity);
+  uint64_t last_of_thread[kThreads] = {};
+  bool seen[kThreads] = {};
+  for (size_t i = 0; i < spans.size(); ++i) {
+    EXPECT_EQ(spans[i].seq, total - kCapacity + 1 + i)
+        << "not the newest spans in sequence order";
+    // Within one thread, sequence order is that thread's recording order.
+    uint64_t t = spans[i].object_id / 1000;
+    uint64_t n = spans[i].object_id % 1000;
+    ASSERT_LT(t, kThreads);
+    if (seen[t]) {
+      EXPECT_GT(n, last_of_thread[t]);
+    }
+    seen[t] = true;
+    last_of_thread[t] = n;
+  }
+
+  tracer.SetCapacity(8);
+  EXPECT_EQ(tracer.capacity(), 8u);
+  EXPECT_TRUE(tracer.Spans().empty()) << "SetCapacity resets every ring";
+  record(5);
+  EXPECT_EQ(tracer.total(), total + kThreads * 5);
+  spans = tracer.Spans();
+  ASSERT_EQ(spans.size(), 8u);
+  EXPECT_EQ(spans.back().seq, tracer.total());
+
+  tracer.Clear();
+  EXPECT_TRUE(tracer.Spans().empty()) << "Clear resets every ring";
+  EXPECT_EQ(tracer.total(), 0u);
+  { ScopedOp span("test.ring", 7, nullptr, &tracer); }
+  spans = tracer.Spans();
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_EQ(spans[0].seq, 1u);
 }
 
 TEST(OpTracerTest, JsonExportCarriesSpanFields) {
