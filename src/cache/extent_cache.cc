@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "common/compress.h"
 #include "obs/event_journal.h"
 #include "obs/metric_names.h"
 
@@ -19,10 +18,6 @@ inline uint64_t Mix64(uint64_t x) {
   return x ^ (x >> 31);
 }
 
-// A compressed image must shrink by at least 1/8 to be worth the
-// decompress on every probation hit.
-inline size_t CompressCap(size_t len) { return len - len / 8; }
-
 }  // namespace
 
 size_t ExtentCache::KeyHash::operator()(const Key& k) const {
@@ -30,13 +25,11 @@ size_t ExtentCache::KeyHash::operator()(const Key& k) const {
       Mix64(Mix64(k.object_id ^ (k.vseq * 0x9e3779b97f4a7c15ULL)) ^ k.first));
 }
 
-ExtentCache::ExtentCache(const Options& options)
-    : capacity_(options.capacity_bytes),
-      shard_capacity_(std::max<size_t>(1, options.capacity_bytes / kShards)),
-      shard_protected_cap_(static_cast<size_t>(
-          shard_capacity_ *
-          std::min(1.0, std::max(0.0, options.protected_fraction)))),
-      compress_(options.compress) {
+ExtentCache::ExtentCache(size_t capacity_bytes)
+    : capacity_(capacity_bytes),
+      shard_capacity_(std::max<size_t>(1, capacity_bytes / kShards)),
+      shard_protected_cap_(
+          static_cast<size_t>(shard_capacity_ * kProtectedFraction)) {
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
   m_hit_ = reg.counter(obs::kCacheHit);
   m_miss_ = reg.counter(obs::kCacheMiss);
@@ -45,7 +38,6 @@ ExtentCache::ExtentCache(const Options& options)
   m_evict_ = reg.counter(obs::kCacheEvict);
   m_invalidate_ = reg.counter(obs::kCacheInvalidate);
   m_resident_ = reg.gauge(obs::kCacheResidentBytes);
-  m_logical_ = reg.gauge(obs::kCacheLogicalBytes);
 }
 
 ExtentCache::Shard& ExtentCache::ShardFor(const Key& k) const {
@@ -94,10 +86,7 @@ void ExtentCache::RemoveLocked(
     shard->probation.erase(e.lru_it);
   }
   shard->resident_bytes -= e.image.size();
-  shard->logical_bytes -= e.logical;
-  if (e.compressed) --shard->compressed_entries;
   m_resident_->Add(-static_cast<int64_t>(e.image.size()));
-  m_logical_->Add(-static_cast<int64_t>(e.logical));
   if (count_evicted) {
     ++shard->evicted;
     m_evict_->Inc();
@@ -113,7 +102,7 @@ void ExtentCache::EvictForLocked(Shard* shard, size_t need) {
     auto it = shard->entries.find(from.back());
     obs::RecordEvent(obs::EventKind::kNote, "cache.evict",
                      it->second.key.object_id, it->second.key.first,
-                     it->second.logical);
+                     it->second.image.size());
     RemoveLocked(shard, it, /*count_evicted=*/true);
   }
 }
@@ -156,37 +145,13 @@ bool ExtentCache::Lookup(uint64_t object_id, uint64_t vseq, PageId first,
 bool ExtentCache::LookupLocked(Shard& shard, const Key& key, uint64_t lo,
                                uint64_t hi, uint8_t* out) {
   auto it = shard.entries.find(key);
-  if (it == shard.entries.end() || hi > it->second.logical) {
+  if (it == shard.entries.end() || hi > it->second.image.size()) {
     ++shard.misses;
     m_miss_->Inc();
     return false;
   }
   Entry& e = it->second;
-  if (e.compressed) {
-    // Inflate the whole image; a probation hit is also the promotion that
-    // keeps it raw from here on, so this decompress happens once.
-    Bytes raw(e.logical);
-    Status s = DecompressBlock(e.image.data(), e.image.size(), raw.data(),
-                               raw.size());
-    if (!s.ok()) {
-      // Cannot happen for images we compressed ourselves; fail safe as a
-      // miss and drop the entry rather than serve questionable bytes.
-      RemoveLocked(&shard, it, /*count_evicted=*/false);
-      ++shard.misses;
-      m_miss_->Inc();
-      return false;
-    }
-    std::memcpy(out, raw.data() + lo, hi - lo);
-    int64_t delta = static_cast<int64_t>(raw.size()) -
-                    static_cast<int64_t>(e.image.size());
-    shard.resident_bytes += static_cast<size_t>(delta);
-    m_resident_->Add(delta);
-    e.image = std::move(raw);
-    e.compressed = false;
-    --shard.compressed_entries;
-  } else {
-    std::memcpy(out, e.image.data() + lo, hi - lo);
-  }
+  std::memcpy(out, e.image.data() + lo, hi - lo);
   if (!e.is_protected) {
     shard.probation.erase(e.lru_it);
     shard.protect.push_front(key);
@@ -198,9 +163,6 @@ bool ExtentCache::LookupLocked(Shard& shard, const Key& key, uint64_t lo,
     shard.protect.splice(shard.protect.begin(), shard.protect, e.lru_it);
     e.lru_it = shard.protect.begin();
   }
-  // Inflation may have pushed the shard over budget; rebalance now that
-  // the caller's bytes are already copied out.
-  EvictForLocked(&shard, 0);
   ++shard.hits;
   m_hit_->Inc();
   return true;
@@ -215,15 +177,8 @@ bool ExtentCache::Contains(uint64_t object_id, uint64_t vseq,
   return shard.entries.find(key) != shard.entries.end();
 }
 
-bool ExtentCache::WouldAdmit(uint64_t object_id, uint64_t vseq, PageId first,
-                             size_t len) const {
-  if (capacity_ == 0 || len == 0 || len > shard_capacity_) return false;
-  Key key{object_id, vseq, first};
-  Shard& shard = ShardFor(key);
-  LatchGuard g(shard.latch);
-  if (shard.entries.find(key) != shard.entries.end()) return false;
-  // `len` is the uncompressed length, so this is conservative when the
-  // image would compress — matching Insert's own pre-check.
+bool ExtentCache::AdmitsLocked(const Shard& shard, const Key& key,
+                               size_t len) const {
   if (shard.resident_bytes + len <= shard_capacity_) return true;
   const std::list<Key>& from =
       shard.probation.empty() ? shard.protect : shard.probation;
@@ -232,74 +187,50 @@ bool ExtentCache::WouldAdmit(uint64_t object_id, uint64_t vseq, PageId first,
          SketchEstimate(SketchPoint(from.back()));
 }
 
+bool ExtentCache::WouldAdmit(uint64_t object_id, uint64_t vseq, PageId first,
+                             size_t len) const {
+  if (capacity_ == 0 || len == 0 || len > shard_capacity_) return false;
+  Key key{object_id, vseq, first};
+  Shard& shard = ShardFor(key);
+  LatchGuard g(shard.latch);
+  if (shard.entries.find(key) != shard.entries.end()) return false;
+  return AdmitsLocked(shard, key, len);
+}
+
 void ExtentCache::Insert(uint64_t object_id, uint64_t vseq, PageId first,
                          const uint8_t* data, size_t len) {
   if (capacity_ == 0 || len == 0 || len > shard_capacity_) return;
   Key key{object_id, vseq, first};
-  uint64_t point = SketchPoint(key);
   Shard& shard = ShardFor(key);
-
-  // Frequency-based admission, pre-checked with the uncompressed length
-  // BEFORE any compression work: a one-touch cold scan never displaces a
-  // proven-hot entry, and rejecting it here keeps the miss path free of
-  // compressor CPU (the cold-set regression budget).
+  // Frequency-based admission: a one-touch cold scan never displaces a
+  // proven-hot entry. Checked once before the image copy, so a rejected
+  // offer never pays for it, and again once the copy is made, because the
+  // shard may have moved while its latch was dropped.
+  auto admit_locked = [&] {
+    if (shard.entries.find(key) != shard.entries.end()) return false;
+    if (AdmitsLocked(shard, key, len)) return true;
+    ++shard.rejected;
+    m_reject_->Inc();
+    return false;
+  };
   {
     LatchGuard g(shard.latch);
-    if (shard.entries.find(key) != shard.entries.end()) return;
-    if (shard.resident_bytes + len > shard_capacity_) {
-      const std::list<Key>& from =
-          shard.probation.empty() ? shard.protect : shard.probation;
-      if (!from.empty() &&
-          SketchEstimate(point) <= SketchEstimate(SketchPoint(from.back()))) {
-        ++shard.rejected;
-        m_reject_->Inc();
-        return;
-      }
-    }
+    if (!admit_locked()) return;
   }
 
-  // Compress outside the shard latch; CPU work must not serialize readers.
-  Bytes image;
-  bool compressed = false;
-  if (compress_) {
-    Bytes packed(CompressCap(len));
-    size_t n = CompressBlock(data, len, packed.data(), packed.size());
-    if (n > 0) {
-      packed.resize(n);
-      packed.shrink_to_fit();
-      image = std::move(packed);
-      compressed = true;
-    }
-  }
-  if (!compressed) image.assign(data, data + len);
+  // Copy outside the shard latch; a large image must not serialize readers.
+  Bytes image(data, data + len);
 
   LatchGuard g(shard.latch);
-  if (shard.entries.find(key) != shard.entries.end()) return;  // racing fill
-  if (shard.resident_bytes + image.size() > shard_capacity_) {
-    // Re-check against the victim: shard state may have moved while the
-    // compressor ran off-latch.
-    const std::list<Key>& from =
-        shard.probation.empty() ? shard.protect : shard.probation;
-    if (!from.empty() &&
-        SketchEstimate(point) <= SketchEstimate(SketchPoint(from.back()))) {
-      ++shard.rejected;
-      m_reject_->Inc();
-      return;
-    }
-    EvictForLocked(&shard, image.size());
-    if (shard.resident_bytes + image.size() > shard_capacity_) return;
-  }
+  if (!admit_locked()) return;
+  EvictForLocked(&shard, len);
+  if (shard.resident_bytes + len > shard_capacity_) return;
   Entry e;
   e.key = key;
-  e.logical = static_cast<uint32_t>(len);
-  e.compressed = compressed;
   e.is_protected = false;
-  shard.resident_bytes += image.size();
-  shard.logical_bytes += len;
-  if (compressed) ++shard.compressed_entries;
-  m_resident_->Add(static_cast<int64_t>(image.size()));
-  m_logical_->Add(static_cast<int64_t>(len));
   e.image = std::move(image);
+  shard.resident_bytes += len;
+  m_resident_->Add(static_cast<int64_t>(len));
   shard.probation.push_front(key);
   e.lru_it = shard.probation.begin();
   shard.entries.emplace(key, std::move(e));
@@ -352,9 +283,7 @@ ExtentCache::Stats ExtentCache::GetStats() const {
     out.evicted += shard.evicted;
     out.invalidated += shard.invalidated;
     out.resident_bytes += shard.resident_bytes;
-    out.logical_bytes += shard.logical_bytes;
     out.entries += shard.entries.size();
-    out.compressed_entries += shard.compressed_entries;
   }
   return out;
 }

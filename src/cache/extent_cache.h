@@ -28,14 +28,10 @@ namespace eos {
 //     estimated frequency, so one cold scan cannot flush the hot set.
 //   * Eviction is a segmented LRU per shard: new admits land in a
 //     probation segment, a re-referenced entry is promoted into the
-//     protected segment (bounded to `protected_fraction` of the budget,
+//     protected segment (bounded to kProtectedFraction of the budget,
 //     overflow demotes back to probation), and victims come from the
-//     probation tail first.
-//   * Optionally (options.compress) probation-resident images are stored
-//     compressed (common/compress.h) when they shrink by at least 1/8;
-//     promotion to the protected segment inflates the image back to raw,
-//     so steady-state hot hits are a pure memcpy while the cold tail packs
-//     2-4x more logical bytes into the same DRAM.
+//     probation tail first. Images are stored as read, so every hit is a
+//     memcpy off the entry.
 //
 // Thread-safe; the key/LRU state is sharded (kShards latches) and every
 // latch here is a leaf — the cache never calls back into the engine — so
@@ -43,12 +39,6 @@ namespace eos {
 // entirely.
 class ExtentCache {
  public:
-  struct Options {
-    size_t capacity_bytes = 0;       // total resident budget, all shards
-    bool compress = true;            // compress probation-resident images
-    double protected_fraction = 0.8; // hot-segment share of the budget
-  };
-
   // Aggregated over shards; counts since construction.
   struct Stats {
     uint64_t hits = 0;
@@ -57,13 +47,13 @@ class ExtentCache {
     uint64_t rejected = 0;     // failed frequency-based admission
     uint64_t evicted = 0;
     uint64_t invalidated = 0;
-    uint64_t resident_bytes = 0;  // stored (possibly compressed) bytes
-    uint64_t logical_bytes = 0;   // uncompressed bytes represented
+    uint64_t resident_bytes = 0;  // bytes of cached images
     uint64_t entries = 0;
-    uint64_t compressed_entries = 0;
   };
 
-  explicit ExtentCache(const Options& options);
+  // `capacity_bytes` is the total resident budget over all shards; 0
+  // disables the cache.
+  explicit ExtentCache(size_t capacity_bytes);
 
   ExtentCache(const ExtentCache&) = delete;
   ExtentCache& operator=(const ExtentCache&) = delete;
@@ -84,12 +74,12 @@ class ExtentCache {
   // miss would otherwise amplify into — a one-touch cold scan reads only
   // the bytes it asked for, while an extent the sketch has seen beat the
   // current victim and earns the fill. Advisory (no LRU/sketch side
-  // effects, and Insert re-checks under the latch); may go stale by the
-  // time the fill lands, which merely wastes one over-read.
+  // effects, and Insert re-checks); may go stale by the time the fill
+  // lands, which merely wastes one over-read.
   bool WouldAdmit(uint64_t object_id, uint64_t vseq, PageId first,
                   size_t len) const;
 
-  // Offers a whole extent image of `len` logical bytes for admission.
+  // Offers a whole extent image of `len` bytes for admission.
   // May be rejected (frequency too low under pressure) or evict others.
   void Insert(uint64_t object_id, uint64_t vseq, PageId first,
               const uint8_t* data, size_t len);
@@ -109,6 +99,8 @@ class ExtentCache {
 
  private:
   static constexpr size_t kShards = 8;
+  // Share of each shard's budget the protected (hot) segment may hold.
+  static constexpr double kProtectedFraction = 0.8;
   static constexpr size_t kSketchSlots = 1u << 15;  // 32k 8-bit counters
   // Halve every counter once this many accesses were sketched; keeps the
   // frequency estimate a sliding window, not an all-time count. Each shard
@@ -133,9 +125,7 @@ class ExtentCache {
 
   struct Entry {
     Key key;
-    Bytes image;           // stored bytes (compressed when `compressed`)
-    uint32_t logical = 0;  // uncompressed length
-    bool compressed = false;
+    Bytes image;
     bool is_protected = false;
     std::list<Key>::iterator lru_it;  // position in its segment's list
   };
@@ -146,7 +136,6 @@ class ExtentCache {
     std::list<Key> probation;  // front = most recent
     std::list<Key> protect;
     size_t resident_bytes = 0;
-    size_t logical_bytes = 0;
     size_t protected_bytes = 0;
     uint64_t hits = 0;
     uint64_t misses = 0;
@@ -154,7 +143,6 @@ class ExtentCache {
     uint64_t rejected = 0;
     uint64_t evicted = 0;
     uint64_t invalidated = 0;
-    uint64_t compressed_entries = 0;
     uint64_t sketch_samples = 0;  // lookups since this shard last aged
   };
 
@@ -168,6 +156,11 @@ class ExtentCache {
   // slightly early or late; the sketch is approximate by design.
   void AgeSketch();
   uint32_t SketchEstimate(uint64_t point) const;
+
+  // The frequency-admission test: a `len`-byte image for `key` may enter
+  // `shard` when it fits without eviction, or when the key's sketch
+  // estimate beats the eviction victim's. Caller holds the shard latch.
+  bool AdmitsLocked(const Shard& shard, const Key& key, size_t len) const;
 
   // Lookup's body once the shard latch is held.
   bool LookupLocked(Shard& shard, const Key& key, uint64_t lo, uint64_t hi,
@@ -186,7 +179,6 @@ class ExtentCache {
   const size_t capacity_;
   const size_t shard_capacity_;
   const size_t shard_protected_cap_;
-  const bool compress_;
 
   mutable std::array<Shard, kShards> shards_;
   std::array<std::atomic<uint8_t>, kSketchSlots> sketch_{};
@@ -198,7 +190,6 @@ class ExtentCache {
   obs::Counter* m_evict_;
   obs::Counter* m_invalidate_;
   obs::Gauge* m_resident_;
-  obs::Gauge* m_logical_;
 };
 
 // Ambient (thread-local) cache binding. The Database installs one around a

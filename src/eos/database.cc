@@ -265,10 +265,7 @@ StatusOr<std::unique_ptr<Database>> Database::Init(
     db->lob_->set_cow_replace(true);
   }
   if (options.cache_bytes > 0) {
-    ExtentCache::Options copt;
-    copt.capacity_bytes = options.cache_bytes;
-    copt.compress = options.cache_compression;
-    db->cache_ = std::make_unique<ExtentCache>(copt);
+    db->cache_ = std::make_unique<ExtentCache>(options.cache_bytes);
   }
   if (fresh) {
     EOS_RETURN_IF_ERROR(db->WriteSuperblock());
@@ -417,10 +414,6 @@ Status Database::SaveDirectory() {
     EOS_RETURN_IF_ERROR(lob_->Destroy(&dir_object_));
   }
   if (!all.empty()) {
-    LobConfig cfg = lob_->config();
-    // The descriptor is rebuilt via the normal appender path; the root
-    // capacity of lob_ applies, so verify it fits the superblock slot.
-    (void)cfg;
     EOS_ASSIGN_OR_RETURN(dir_object_, lob_->CreateFrom(all));
     if (dir_object_.SerializedBytes() > DirRootSlotBytes()) {
       return Status::Corruption(

@@ -113,10 +113,6 @@ struct DatabaseOptions {
   // cached bytes can never be stale; superseded versions are invalidated as
   // version GC retires them (per-object generations without mvcc).
   size_t cache_bytes = 0;
-  // Compress probation-resident cache entries (common/compress.h): the cold
-  // tail of the cache packs 2-4x more logical bytes per DRAM byte, while
-  // promoted hot entries stay raw (hits remain a pure memcpy).
-  bool cache_compression = true;
 };
 
 // FreeInterceptor that parks every freed extent until the next
@@ -195,12 +191,15 @@ struct LeakCheckReport {
   std::vector<Extent> doubly_referenced;
 };
 
-// Concurrency: a reader/writer latch serializes the object directory and
-// every public operation — reads and stats run shared, mutations (and
-// checkpoint/recovery/repair) run exclusive. That is what lets the online
-// defragmenter migrate objects from a background thread while foreground
-// readers keep running; per-page consistency below the latch is the
-// pager's and allocator's own short-duration latches.
+// Concurrency: DESIGN.md §13 gives the latches and the order they nest in
+// (dir_latch_ -> one version shard -> gc_latch_ -> extent-cache shard).
+// dir_latch_ guards the object directory: Read() and stats take it shared,
+// mutations (and checkpoint/recovery/repair) exclusive, which lets the
+// online defragmenter migrate objects from a background thread while
+// foreground readers keep running. BeginSnapshot() and pin release take
+// only their object's version shard, and SnapshotRead() no database latch
+// at all. Per-page consistency below these latches is the pager's and
+// allocator's own short-duration latches.
 class Database : private DefragHost {
  public:
   static constexpr uint32_t kMagic = 0x454F5356;  // "EOSV"

@@ -1,5 +1,6 @@
 #include "obs/metrics.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 
@@ -54,7 +55,9 @@ uint64_t Histogram::Percentile(double p) const {
   uint64_t seen = 0;
   for (size_t b = 0; b < kBuckets; ++b) {
     seen += bucket(b);
-    if (seen >= rank) return BucketUpperBound(b);
+    // The bucket's upper bound can lie above every recorded value; the
+    // max is the tighter bound then.
+    if (seen >= rank) return std::min(BucketUpperBound(b), max());
   }
   return max();
 }

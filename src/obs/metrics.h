@@ -72,8 +72,9 @@ class Gauge {
 // Fixed-bucket power-of-two histogram for latencies (microseconds) and
 // sizes (pages, bytes). Bucket 0 holds the value 0; bucket b >= 1 holds
 // values in [2^(b-1), 2^b). Percentile() returns the inclusive upper bound
-// of the bucket containing the requested rank, so reported quantiles are
-// conservative (never understated) and the memory cost is 65 atomics.
+// of the bucket containing the requested rank, clamped to the max, so
+// reported quantiles are conservative (never understated) yet never above
+// the largest recorded value; the memory cost is 65 atomics.
 class Histogram {
  public:
   static constexpr size_t kBuckets = 65;

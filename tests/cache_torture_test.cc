@@ -6,8 +6,9 @@
 // migration) retire everything a reader could no longer pin. Chaos read
 // faults during a cache fill must degrade to the direct read path, and
 // partial reads under a deadline must skip the whole-extent fill. Every
-// path ends CheckIntegrity and LeakCheck clean. The block compressor the
-// probation segment uses is exercised on its own as well.
+// path ends CheckIntegrity and LeakCheck clean. The admission and
+// eviction policy is driven on its own as well, deterministically and under
+// concurrent pressure.
 //
 // Failures print the seed; re-run with EOS_TEST_SEED=<n>.
 
@@ -24,7 +25,6 @@
 #include <vector>
 
 #include "cache/extent_cache.h"
-#include "common/compress.h"
 #include "common/deadline.h"
 #include "eos/database.h"
 #include "io/chaos_device.h"
@@ -53,10 +53,9 @@ DatabaseOptions CachedOptions(bool mvcc) {
   opt.page_size = 512;
   opt.pager_frames = 64;
   opt.mvcc = mvcc;
-  // Small enough that the churn working set overflows it: admission,
-  // eviction and compression all stay on the hot path of every test.
+  // Small enough that the churn working set overflows it: admission and
+  // eviction both stay on the hot path of every test.
   opt.cache_bytes = 256u << 10;
-  opt.cache_compression = true;
   return opt;
 }
 
@@ -71,81 +70,6 @@ void ExpectClean(Database* db) {
   EOS_EXPECT_OK(db->LeakCheck(&report));
   EXPECT_TRUE(report.leaked.empty());
   EXPECT_TRUE(report.doubly_referenced.empty());
-}
-
-// ----- block compressor ------------------------------------------------------
-
-TEST(CompressTest, RoundTripsCompressibleData) {
-  const uint64_t seed = TestSeed(0xC0DE);
-  std::mt19937_64 rng(seed);
-  // Runs + repeats: the shape of real leaf images (serialized structures,
-  // zero padding), squarely in the compressor's wheelhouse.
-  for (size_t n : {size_t{1}, size_t{17}, size_t{4096}, size_t{70000}}) {
-    Bytes src(n);
-    uint8_t v = static_cast<uint8_t>(rng());
-    for (size_t i = 0; i < n; ++i) {
-      if (rng() % 17 == 0) v = static_cast<uint8_t>(rng());
-      src[i] = v;
-    }
-    Bytes packed(CompressBound(n));
-    size_t m = CompressBlock(src.data(), n, packed.data(), packed.size());
-    ASSERT_GT(m, 0u) << "n=" << n;
-    Bytes out(n);
-    EOS_ASSERT_OK(DecompressBlock(packed.data(), m, out.data(), n));
-    EXPECT_EQ(out, src) << "n=" << n;
-  }
-}
-
-TEST(CompressTest, RoundTripsRandomDataViaBound) {
-  const uint64_t seed = TestSeed(0xC0DF);
-  Bytes src = PatternBytes(seed, 30000);
-  std::mt19937_64 rng(seed);
-  for (auto& b : src) b = static_cast<uint8_t>(rng());  // incompressible
-  // Given the full bound the encoder always succeeds (literal blocks)...
-  Bytes packed(CompressBound(src.size()));
-  size_t m = CompressBlock(src.data(), src.size(), packed.data(),
-                           packed.size());
-  ASSERT_GT(m, 0u);
-  Bytes out(src.size());
-  EOS_ASSERT_OK(DecompressBlock(packed.data(), m, out.data(), out.size()));
-  EXPECT_EQ(out, src);
-  // ...and with a cap demanding actual shrinkage it reports "won't fit"
-  // instead of producing a larger image.
-  EXPECT_EQ(CompressBlock(src.data(), src.size(), packed.data(),
-                          src.size() - src.size() / 8),
-            0u);
-}
-
-TEST(CompressTest, RejectsCorruptAndTruncatedStreams) {
-  const uint64_t seed = TestSeed(0xC0E0);
-  std::mt19937_64 rng(seed);
-  Bytes src(20000);
-  uint8_t v = 0;
-  for (size_t i = 0; i < src.size(); ++i) {
-    if (rng() % 13 == 0) v = static_cast<uint8_t>(rng());
-    src[i] = v;
-  }
-  Bytes packed(CompressBound(src.size()));
-  size_t m = CompressBlock(src.data(), src.size(), packed.data(),
-                           packed.size());
-  ASSERT_GT(m, 0u);
-  Bytes out(src.size());
-  // Truncation at every prefix must fail typed, never crash or overrun.
-  for (size_t cut : {size_t{0}, size_t{1}, m / 2, m - 1}) {
-    Status s = DecompressBlock(packed.data(), cut, out.data(), out.size());
-    EXPECT_FALSE(s.ok()) << "cut=" << cut;
-  }
-  // Seeded single-byte corruption: either the stream still decodes to the
-  // wrong bytes of the right length, or it fails typed — never UB.
-  for (int trial = 0; trial < 64; ++trial) {
-    Bytes bad(packed.begin(), packed.begin() + m);
-    bad[rng() % m] ^= static_cast<uint8_t>(1 + rng() % 255);
-    Bytes dst(src.size());
-    Status s = DecompressBlock(bad.data(), m, dst.data(), dst.size());
-    if (!s.ok()) {
-      EXPECT_TRUE(s.IsCorruption()) << s.ToString();
-    }
-  }
 }
 
 // ----- oracle-checked concurrent churn with the cache on ---------------------
@@ -414,9 +338,7 @@ TEST(CacheTortureTest, PrefetchSkippedForCachedExtents) {
     EOS_ASSERT_OK(app.Finish());
   }
 
-  ExtentCache::Options copt;
-  copt.capacity_bytes = 1u << 20;  // everything fits
-  ExtentCache cache(copt);
+  ExtentCache cache(/*capacity_bytes=*/1u << 20);  // everything fits
   ScopedExtentCacheRef bind(&cache, /*object_id=*/1, /*vseq=*/1);
 
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
@@ -452,6 +374,116 @@ TEST(CacheTortureTest, PrefetchSkippedForCachedExtents) {
 
 // ----- eviction and admission under pressure ---------------------------------
 
+// The whole policy, driven deterministically on one thread: a hot set
+// promoted into the protected segment survives a one-touch scan of four
+// times the capacity, because frequency admission turns most of the scan
+// away and what it lets in evicts only probation entries. Every admission
+// decision matches WouldAdmit, the accounting is exact, and
+// InvalidateObjectBelow drops exactly one object's entries below its floor.
+TEST(CacheTortureTest, ProtectedHotSetSurvivesOneTouchScan) {
+  // 32 KiB per shard, 80% of it protected: the 18 KiB hot set fits one
+  // shard's protected segment even if every hot key hashes to that shard.
+  constexpr size_t kCapacity = 256u << 10;
+  constexpr size_t kImageBytes = 1024;
+  constexpr int kHotTouches = 4;
+  constexpr uint64_t kScanKeys = 4 * kCapacity / kImageBytes;
+  ExtentCache cache(kCapacity);
+
+  struct Key {
+    uint64_t object;
+    uint64_t vseq;
+    PageId first;
+  };
+  auto image = [](const Key& k) {
+    return PatternBytes(k.object * 1000003 + k.vseq * 1009 + k.first,
+                        kImageBytes);
+  };
+  uint64_t lookups = 0;
+  // Looks up [lo, hi) of `k` and reports whether it hit with exact bytes.
+  auto hits_exactly = [&](const Key& k, uint64_t lo, uint64_t hi) {
+    ++lookups;
+    Bytes got(hi - lo);
+    if (!cache.Lookup(k.object, k.vseq, k.first, lo, hi, got.data())) {
+      return false;
+    }
+    Bytes want = image(k);
+    return std::equal(got.begin(), got.end(), want.begin() + lo);
+  };
+
+  std::vector<Key> hot;
+  for (uint64_t object : {7u, 8u}) {
+    for (uint64_t vseq = 1; vseq <= 3; ++vseq) {
+      for (PageId first = 10; first < 13; ++first) {
+        hot.push_back(Key{object, vseq, first});
+      }
+    }
+  }
+  for (const Key& k : hot) {
+    Bytes b = image(k);
+    cache.Insert(k.object, k.vseq, k.first, b.data(), b.size());
+    ASSERT_TRUE(cache.Contains(k.object, k.vseq, k.first));
+  }
+  // The first hit promotes each entry; the rest build its frequency.
+  for (int touch = 0; touch < kHotTouches; ++touch) {
+    for (const Key& k : hot) {
+      ASSERT_TRUE(hits_exactly(k, 0, kImageBytes));
+    }
+  }
+
+  // One-touch scan of distinct keys: miss, then offer the image.
+  uint64_t scan_admitted = 0;
+  std::vector<Key> scan;
+  for (uint64_t i = 0; i < kScanKeys; ++i) {
+    Key k{1000 + i, 1, static_cast<PageId>(100 + i)};
+    scan.push_back(k);
+    ASSERT_FALSE(hits_exactly(k, 0, kImageBytes)) << "scan key " << i;
+    bool predicted = cache.WouldAdmit(k.object, k.vseq, k.first, kImageBytes);
+    Bytes b = image(k);
+    cache.Insert(k.object, k.vseq, k.first, b.data(), b.size());
+    bool admitted = cache.Contains(k.object, k.vseq, k.first);
+    ASSERT_EQ(admitted, predicted) << "scan key " << i;
+    scan_admitted += admitted ? 1 : 0;
+    ASSERT_LE(cache.GetStats().resident_bytes, kCapacity) << "scan key " << i;
+  }
+
+  for (const Key& k : hot) {
+    EXPECT_TRUE(hits_exactly(k, 0, kImageBytes))
+        << "hot key " << k.object << "/" << k.vseq << "/" << k.first
+        << " lost to the scan";
+    EXPECT_TRUE(hits_exactly(k, 100, 612));
+  }
+  ExtentCache::Stats stats = cache.GetStats();
+  EXPECT_EQ(stats.hits + stats.misses, lookups);
+  EXPECT_EQ(stats.misses, kScanKeys);
+  EXPECT_EQ(stats.admitted, hot.size() + scan_admitted);
+  EXPECT_EQ(stats.rejected, kScanKeys - scan_admitted);
+  EXPECT_GT(stats.rejected, 0u) << "admission never turned the scan away";
+  EXPECT_GT(stats.evicted, 0u) << "the scan never forced an eviction";
+  EXPECT_EQ(stats.entries, hot.size() + scan_admitted - stats.evicted);
+  EXPECT_LE(stats.resident_bytes, kCapacity);
+
+  // Invalidation drops object 7's versions 1 and 2 and nothing else.
+  std::vector<bool> scan_resident;
+  for (const Key& k : scan) {
+    scan_resident.push_back(cache.Contains(k.object, k.vseq, k.first));
+  }
+  cache.InvalidateObjectBelow(7, 3);
+  for (const Key& k : hot) {
+    bool dropped = k.object == 7 && k.vseq < 3;
+    EXPECT_EQ(cache.Contains(k.object, k.vseq, k.first), !dropped)
+        << "hot key " << k.object << "/" << k.vseq << "/" << k.first;
+  }
+  for (size_t i = 0; i < scan.size(); ++i) {
+    EXPECT_EQ(cache.Contains(scan[i].object, scan[i].vseq, scan[i].first),
+              scan_resident[i])
+        << "scan key " << i;
+  }
+  ExtentCache::Stats after = cache.GetStats();
+  EXPECT_EQ(after.invalidated, 6u);
+  EXPECT_EQ(after.entries, stats.entries - 6);
+  EXPECT_EQ(after.resident_bytes, stats.resident_bytes - 6 * kImageBytes);
+}
+
 // Direct ExtentCache torture: concurrent hits, inserts and invalidations
 // against a capacity too small for the population; every successful lookup
 // must return the exact bytes inserted under that key.
@@ -459,9 +491,7 @@ TEST(CacheTortureTest, ShardedCacheExactUnderConcurrentPressure) {
   const uint64_t seed = TestSeed(0xCA56);
   SCOPED_TRACE("seed " + std::to_string(seed) +
                " (re-run with EOS_TEST_SEED=<seed>)");
-  ExtentCache::Options copt;
-  copt.capacity_bytes = 96u << 10;
-  ExtentCache cache(copt);
+  ExtentCache cache(/*capacity_bytes=*/96u << 10);
 
   constexpr int kThreads = 4;
   constexpr int kOpsPerThread = 4000;
@@ -477,8 +507,7 @@ TEST(CacheTortureTest, ShardedCacheExactUnderConcurrentPressure) {
         uint64_t vseq = 1 + rng() % 3;
         PageId first = 1 + rng() % kExtentsPerObject;
         // Content is a pure function of the key, so any cross-key mixup
-        // (sharding bug, LRU splice bug, compression bug) is caught by a
-        // byte compare.
+        // (sharding bug, LRU splice bug) is caught by a byte compare.
         size_t len = 512 + (first * 37 % 3) * 512;
         Bytes expect = PatternBytes(object * 1000 + vseq * 100 + first, len);
         uint32_t pick = static_cast<uint32_t>(rng() % 100);

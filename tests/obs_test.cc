@@ -120,6 +120,16 @@ TEST(HistogramTest, RecordAggregatesAndPercentilesAreConservative) {
   EXPECT_EQ(h.max(), 0u);
 }
 
+// A lone 245 lands in the [128, 256) bucket, whose upper bound 255 was once
+// reported as p50 above a max of 245; percentiles are clamped to the max.
+TEST(HistogramTest, PercentilesNeverExceedTheMax) {
+  Histogram h;
+  h.Record(245);
+  EXPECT_EQ(h.max(), 245u);
+  EXPECT_EQ(h.Percentile(0.5), 245u);
+  EXPECT_EQ(h.Percentile(0.99), 245u);
+}
+
 TEST(MetricsTest, RegistryPointersAreStableAndNamed) {
   MetricsRegistry& reg = MetricsRegistry::Default();
   Counter* a = reg.counter("test.obs.stable");

@@ -8,7 +8,7 @@
 //   eos_inspect <volume> stats                  metrics snapshot summary
 //   eos_inspect <volume> cache                  extent-cache effectiveness
 //                                               (hits, admission, eviction,
-//                                               compression ratio)
+//                                               resident bytes)
 //   eos_inspect <volume> trace                  recent operation spans
 //   eos_inspect <volume> trace --chrome=out.json  export spans as Chrome
 //                                               trace events (chrome://tracing)
@@ -271,8 +271,8 @@ void PrintStats(const std::string& volume) {
 }
 
 // Extent-cache effectiveness from the sidecar (DESIGN.md §14): hit rate,
-// admission-filter behaviour, eviction/invalidation churn, and how far the
-// probation-segment compression stretches the configured budget.
+// admission-filter behaviour, eviction/invalidation churn, and the bytes
+// resident.
 void PrintCacheStats(const std::string& volume) {
   namespace obs = eos::obs;
   obs::JsonValue snap = LoadSnapshotOrExit(volume);
@@ -284,7 +284,6 @@ void PrintCacheStats(const std::string& volume) {
   double rejected = CounterOf(snap, obs::kCacheReject);
   double offered = admitted + rejected;
   double resident = GaugeOf(snap, obs::kCacheResidentBytes);
-  double logical = GaugeOf(snap, obs::kCacheLogicalBytes);
 
   if (lookups == 0 && offered == 0) {
     std::printf("cache: no activity recorded (cache_bytes=0 or no reads)\n");
@@ -305,10 +304,7 @@ void PrintCacheStats(const std::string& volume) {
               CounterOf(snap, obs::kCacheInvalidate));
   std::printf("%-22s %14.0f\n", "  fill failures",
               CounterOf(snap, obs::kCacheFillFail));
-  std::printf("resident: %.1f MB holding %.1f MB logical "
-              "(compression ratio %.2fx)\n",
-              resident / 1048576.0, logical / 1048576.0,
-              resident == 0 ? 1.0 : logical / resident);
+  std::printf("resident: %.1f MB\n", resident / 1048576.0);
 }
 
 void PrintTrace(const std::string& volume) {

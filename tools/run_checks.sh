@@ -201,8 +201,7 @@ if failures:
     for f in failures:
         print(f"cache gate: {f}")
     sys.exit(1)
-print(f"cache gate: hot {speedup:.2f}x (hit {hit_rate:.1f}%, "
-      f"nocomp {need('zipf_hot_speedup_nocomp'):.2f}x), cold "
+print(f"cache gate: hot {speedup:.2f}x (hit {hit_rate:.1f}%), cold "
       f"{cold_ratio:.2f}x, p99 {p99_ratio:.2f}x")
 PY
 
