@@ -42,6 +42,7 @@ class SharedLatch {
   void AcquireShared() { mu_.lock_shared(); }
   void ReleaseShared() { mu_.unlock_shared(); }
   void AcquireExclusive() { mu_.lock(); }
+  bool TryAcquireExclusive() { return mu_.try_lock(); }
   void ReleaseExclusive() { mu_.unlock(); }
 
  private:

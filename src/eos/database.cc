@@ -1,6 +1,7 @@
 #include "eos/database.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cstring>
 #include <thread>
 
@@ -55,6 +56,48 @@ class ScopedDirLogSuspend {
   LogManager* saved_;
 };
 
+// Exclusive hold of dir_latch_. An uncontended acquisition is one
+// try_lock; only when that fails is the wait timed into
+// db.dir_latch_wait_us, so the histogram counts contended waits alone.
+class DirLatchExclusiveGuard {
+ public:
+  explicit DirLatchExclusiveGuard(SharedLatch& latch) : latch_(latch) {
+    if (latch_.TryAcquireExclusive()) return;
+    static obs::Histogram* wait_us =
+        obs::MetricsRegistry::Default().histogram(obs::kDbDirLatchWaitUs);
+    auto start = std::chrono::steady_clock::now();
+    latch_.AcquireExclusive();
+    wait_us->Record(static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now() - start)
+            .count()));
+  }
+  ~DirLatchExclusiveGuard() { latch_.ReleaseExclusive(); }
+
+  DirLatchExclusiveGuard(const DirLatchExclusiveGuard&) = delete;
+  DirLatchExclusiveGuard& operator=(const DirLatchExclusiveGuard&) = delete;
+
+ private:
+  SharedLatch& latch_;
+};
+
+// Holds the MVCC pin gate closed for one storage rebuild. It lives inside
+// the rebuild's dir_latch_ exclusive section, so a pinner that finds the
+// gate closed and waits on dir_latch_ shared finds it open again.
+class ScopedPinGate {
+ public:
+  explicit ScopedPinGate(std::atomic<bool>* closed) : closed_(closed) {
+    closed_->store(true);
+  }
+  ~ScopedPinGate() { closed_->store(false); }
+
+  ScopedPinGate(const ScopedPinGate&) = delete;
+  ScopedPinGate& operator=(const ScopedPinGate&) = delete;
+
+ private:
+  std::atomic<bool>* closed_;
+};
+
 }  // namespace
 
 Database::~Database() {
@@ -66,7 +109,7 @@ Database::~Database() {
     // Snapshots must not outlive the database; collapse every chain and
     // reclaim the retired storage so a cleanly closed volume reopens
     // leak-free (the allocation maps are durable even without crash_safe).
-    ExclusiveLatchGuard guard(dir_latch_);
+    DirLatchExclusiveGuard guard(dir_latch_);
     for (VersionShard& shard : version_shards_) {
       LatchGuard sg(shard.latch);
       for (auto& [id, chain] : shard.chains) {
@@ -438,9 +481,7 @@ StatusOr<uint64_t> Database::CreateObjectLocked() {
   LobDescriptor d = lob_->CreateEmpty();
   DirEntry& entry = directory_[id];
   entry.root = d.Serialize();
-  if (options_.mvcc) {
-    entry.cache_tag = PublishVersion(id, entry.root, d.lsn, /*dead=*/false);
-  }
+  if (options_.mvcc) PublishVersion(id, entry.root, d.lsn, /*dead=*/false);
   TouchLocked(id);
   Status s = SaveDirectory();
   if (!s.ok()) return span.Close(std::move(s));
@@ -448,7 +489,7 @@ StatusOr<uint64_t> Database::CreateObjectLocked() {
 }
 
 StatusOr<uint64_t> Database::CreateObject() {
-  ExclusiveLatchGuard guard(dir_latch_);
+  DirLatchExclusiveGuard guard(dir_latch_);
   return CreateObjectLocked();
 }
 
@@ -456,7 +497,7 @@ StatusOr<uint64_t> Database::CreateObjectFrom(ByteView data) {
   uint64_t id = 0;
   uint64_t commit_lsn = 0;
   {
-    ExclusiveLatchGuard guard(dir_latch_);
+    DirLatchExclusiveGuard guard(dir_latch_);
     EOS_ASSIGN_OR_RETURN(id, CreateObjectLocked());
     obs::ScopedOp span("db.create_object_from", id, device_.get());
     if (log_ != nullptr) log_->set_current_object(id);
@@ -498,7 +539,7 @@ StatusOr<LobDescriptor> Database::GetRoot(uint64_t id) {
 }
 
 void Database::SetObjectThreshold(uint64_t id, uint32_t threshold_pages) {
-  ExclusiveLatchGuard guard(dir_latch_);
+  DirLatchExclusiveGuard guard(dir_latch_);
   if (threshold_pages == 0) {
     threshold_hints_.erase(id);
   } else {
@@ -507,7 +548,7 @@ void Database::SetObjectThreshold(uint64_t id, uint32_t threshold_pages) {
 }
 
 Status Database::ReorganizeObject(uint64_t id) {
-  ExclusiveLatchGuard guard(dir_latch_);
+  DirLatchExclusiveGuard guard(dir_latch_);
   obs::ScopedOp span("db.reorganize", id, device_.get());
   Status adm = allocator_->AdmitMutation();
   if (!adm.ok()) return span.Close(std::move(adm));
@@ -533,7 +574,7 @@ Status Database::PutRootLocked(uint64_t id, const LobDescriptor& d) {
     // Publish before the directory save: the in-memory root above is the
     // current version from here on even if the save fails (the next
     // successful save persists it), and snapshot pins must track it.
-    entry.cache_tag = PublishVersion(id, entry.root, d.lsn, /*dead=*/false);
+    PublishVersion(id, entry.root, d.lsn, /*dead=*/false);
   } else {
     // Without version chains the cache key is the per-object mutation
     // generation; bump it and drop the dead generation's entries (the new
@@ -547,7 +588,7 @@ Status Database::PutRootLocked(uint64_t id, const LobDescriptor& d) {
 }
 
 Status Database::PutRoot(uint64_t id, const LobDescriptor& d) {
-  ExclusiveLatchGuard guard(dir_latch_);
+  DirLatchExclusiveGuard guard(dir_latch_);
   Status s = PutRootLocked(id, d);
   if (s.ok()) TouchLocked(id);
   return s;
@@ -569,7 +610,7 @@ Status Database::DropObject(uint64_t id) {
   obs::ScopedOp span("db.drop_object", id, device_.get());
   uint64_t commit_lsn = 0;
   {
-    ExclusiveLatchGuard guard(dir_latch_);
+    DirLatchExclusiveGuard guard(dir_latch_);
     auto it = directory_.find(id);
     if (it == directory_.end()) {
       return span.Close(Status::NotFound("object " + std::to_string(id)));
@@ -606,19 +647,41 @@ Status Database::DropObject(uint64_t id) {
 }
 
 StatusOr<uint64_t> Database::Size(uint64_t id) {
+  if (options_.mvcc) {
+    Snapshot pin;
+    EOS_RETURN_IF_ERROR(PinCurrentVersion(id, /*read_pin=*/true, &pin));
+    return pin.size();
+  }
   SharedLatchGuard guard(dir_latch_);
   EOS_ASSIGN_OR_RETURN(LobDescriptor d, GetRootLocked(id));
   return d.size();
 }
 
 StatusOr<Bytes> Database::Read(uint64_t id, uint64_t offset, uint64_t n) {
+  if (options_.mvcc) {
+    // The pin keeps every page of the current version allocated and
+    // unchanged until it is released on return, so no directory latch is
+    // held across the device reads (DESIGN.md §13).
+    Snapshot pin;
+    EOS_RETURN_IF_ERROR(PinCurrentVersion(id, /*read_pin=*/true, &pin));
+    return ReadRoot("db.read", id, pin.root(), pin.vseq(), offset, n);
+  }
+  // No version to pin, and Replace rewrites leaves in place: the shared
+  // latch is what keeps the root's pages stable.
   SharedLatchGuard guard(dir_latch_);
-  obs::ScopedOp span("db.read", id, device_.get());
   uint64_t cache_tag = 0;
   EOS_ASSIGN_OR_RETURN(LobDescriptor d, GetRootLocked(id, &cache_tag));
+  return ReadRoot("db.read", id, d, cache_tag, offset, n);
+}
+
+StatusOr<Bytes> Database::ReadRoot(const char* span_name, uint64_t id,
+                                   const LobDescriptor& root,
+                                   uint64_t cache_tag, uint64_t offset,
+                                   uint64_t n) {
+  obs::ScopedOp span(span_name, id, device_.get());
   ScopedExtentCacheRef cache_scope(cache_.get(), id, cache_tag);
   Bytes out;
-  Status s = lob_->Read(d, offset, n, &out);
+  Status s = lob_->Read(root, offset, n, &out);
   if (!s.ok()) return span.Close(std::move(s));
   return out;
 }
@@ -627,7 +690,7 @@ Status Database::Append(uint64_t id, ByteView data) {
   obs::ScopedOp span("db.append", id, device_.get());
   uint64_t commit_lsn = 0;
   {
-    ExclusiveLatchGuard guard(dir_latch_);
+    DirLatchExclusiveGuard guard(dir_latch_);
     Status adm = allocator_->AdmitMutation();
     if (!adm.ok()) return span.Close(std::move(adm));
     EOS_ASSIGN_OR_RETURN(LobDescriptor d, GetRootLocked(id));
@@ -651,7 +714,7 @@ Status Database::Insert(uint64_t id, uint64_t offset, ByteView data) {
   obs::ScopedOp span("db.insert", id, device_.get());
   uint64_t commit_lsn = 0;
   {
-    ExclusiveLatchGuard guard(dir_latch_);
+    DirLatchExclusiveGuard guard(dir_latch_);
     Status adm = allocator_->AdmitMutation();
     if (!adm.ok()) return span.Close(std::move(adm));
     EOS_ASSIGN_OR_RETURN(LobDescriptor d, GetRootLocked(id));
@@ -675,7 +738,7 @@ Status Database::Delete(uint64_t id, uint64_t offset, uint64_t n) {
   obs::ScopedOp span("db.delete", id, device_.get());
   uint64_t commit_lsn = 0;
   {
-    ExclusiveLatchGuard guard(dir_latch_);
+    DirLatchExclusiveGuard guard(dir_latch_);
     EOS_ASSIGN_OR_RETURN(LobDescriptor d, GetRootLocked(id));
     if (log_ != nullptr) log_->set_current_object(id);
     // Deletes net-free storage, so they are always admitted — and their
@@ -702,7 +765,7 @@ Status Database::Replace(uint64_t id, uint64_t offset, ByteView data) {
   obs::ScopedOp span("db.replace", id, device_.get());
   uint64_t commit_lsn = 0;
   {
-    ExclusiveLatchGuard guard(dir_latch_);
+    DirLatchExclusiveGuard guard(dir_latch_);
     // Replace rewrites bytes in place and allocates nothing, but it is
     // still a logged user mutation; only reads and deletes stay admitted
     // when full. (Under mvcc it *does* allocate: copy-on-write leaves.)
@@ -726,6 +789,11 @@ Status Database::Replace(uint64_t id, uint64_t offset, ByteView data) {
 }
 
 StatusOr<LobStats> Database::ObjectStats(uint64_t id) {
+  if (options_.mvcc) {
+    Snapshot pin;
+    EOS_RETURN_IF_ERROR(PinCurrentVersion(id, /*read_pin=*/true, &pin));
+    return lob_->Stats(pin.root());
+  }
   SharedLatchGuard guard(dir_latch_);
   EOS_ASSIGN_OR_RETURN(LobDescriptor d, GetRootLocked(id));
   return lob_->Stats(d);
@@ -740,7 +808,7 @@ Status Database::FlushLocked() {
 }
 
 Status Database::Flush() {
-  ExclusiveLatchGuard guard(dir_latch_);
+  DirLatchExclusiveGuard guard(dir_latch_);
   return FlushLocked();
 }
 
@@ -790,12 +858,12 @@ Status Database::CheckpointLocked() {
 }
 
 Status Database::Checkpoint() {
-  ExclusiveLatchGuard guard(dir_latch_);
+  DirLatchExclusiveGuard guard(dir_latch_);
   return CheckpointLocked();
 }
 
 Status Database::Recover(const std::vector<LogRecord>& log) {
-  ExclusiveLatchGuard guard(dir_latch_);
+  DirLatchExclusiveGuard guard(dir_latch_);
   Status s = RecoverImpl(log);
   if (!s.ok()) {
     // A failed recovery is as fatal as storage gets: the volume cannot be
@@ -809,15 +877,14 @@ Status Database::Recover(const std::vector<LogRecord>& log) {
 
 Status Database::RecoverImpl(const std::vector<LogRecord>& log) {
   obs::ScopedOp span("db.recover", 0, device_.get());
+  // Pins requested from here on wait for the reseeded chains.
+  ScopedPinGate gate(&pin_gate_closed_);
   if (options_.mvcc) {
     // Recovery rebuilds the allocation maps from durable reachability;
     // volatile version chains reference storage those maps would reclaim,
-    // so a snapshot surviving across recovery would read freed pages.
-    if (HasOpenPins()) {
-      return span.Close(
-          Status::Busy("open snapshots pin pre-recovery versions; release "
-                       "all snapshots before Recover()"));
-    }
+    // so a pin surviving across recovery would read freed pages.
+    Status s = DrainPinsLocked("Recover()");
+    if (!s.ok()) return span.Close(std::move(s));
     DropVersionChains();
   }
   if (cache_ != nullptr) {
@@ -922,7 +989,7 @@ Status Database::CheckIntegrity() {
 Status Database::LeakCheck(LeakCheckReport* report) {
   // Exclusive: a mutation between the reference walk and the per-page
   // sweep would report its transient state as a leak.
-  ExclusiveLatchGuard guard(dir_latch_);
+  DirLatchExclusiveGuard guard(dir_latch_);
   *report = LeakCheckReport{};
   // 1. Everything a root can reach, plus checkpoint-parked frees (those
   //    are allocated on purpose until the next Checkpoint drains them).
@@ -1142,17 +1209,18 @@ Status Database::ScrubObjectsLocked(ScrubReport* report) {
 }
 
 Status Database::RepairObject(uint64_t id) {
-  ExclusiveLatchGuard guard(dir_latch_);
+  DirLatchExclusiveGuard guard(dir_latch_);
   obs::ScopedOp span("db.repair_object", id, device_.get());
   // Salvage reads heal from the mirror copy where one exists, so holes are
   // zero-filled only when no replica survives either.
   VolumeRepairScope repair_scope(volume_set_);
-  if (options_.mvcc && HasOpenPins()) {
+  // Pins requested from here on wait for the reseeded chains.
+  ScopedPinGate gate(&pin_gate_closed_);
+  if (options_.mvcc) {
     // The rebuild below reclaims everything unreachable from current
     // roots, which includes whatever superseded versions still reference.
-    return span.Close(
-        Status::Busy("open snapshots pin superseded versions; release all "
-                     "snapshots before RepairObject()"));
+    Status s = DrainPinsLocked("RepairObject()");
+    if (!s.ok()) return span.Close(std::move(s));
   }
   EOS_ASSIGN_OR_RETURN(LobDescriptor d, GetRootLocked(id));
   std::vector<HoleRange> holes;
@@ -1180,9 +1248,9 @@ Status Database::RepairObject(uint64_t id) {
   // frees everything unreachable anyway, and the roots become durable at
   // the Flush below, so early reuse is safe).
   if (deferred_frees_ != nullptr) (void)deferred_frees_->TakeAll();
-  // Version chains reference the same untrusted trees; with no pins open
-  // (checked above) they are dropped outright and reseeded from the
-  // repaired directory once the rebuild is durable.
+  // Version chains reference the same untrusted trees; with every pin
+  // drained and the gate closed (above) they are dropped outright and
+  // reseeded from the repaired directory once the rebuild is durable.
   if (options_.mvcc) DropVersionChains();
   if (cache_ != nullptr) {
     // SeedVersionChains below restarts every chain at vseq 1, so stale
@@ -1218,7 +1286,7 @@ std::vector<HoleRange> Database::GetHoles(uint64_t id) const {
 }
 
 void Database::AttachLog(LogManager* log) {
-  ExclusiveLatchGuard guard(dir_latch_);
+  DirLatchExclusiveGuard guard(dir_latch_);
   log_ = log;
   lob_->set_log_manager(log);
 }
@@ -1233,6 +1301,7 @@ Snapshot& Snapshot::operator=(Snapshot&& o) noexcept {
     vseq_ = o.vseq_;
     lsn_ = o.lsn_;
     root_ = std::move(o.root_);
+    read_pin_ = o.read_pin_;
     o.db_ = nullptr;
   }
   return *this;
@@ -1240,7 +1309,12 @@ Snapshot& Snapshot::operator=(Snapshot&& o) noexcept {
 
 void Snapshot::Release() {
   if (db_ == nullptr) return;
-  db_->ReleaseSnapshotPin(object_id_, vseq_);
+  db_->UnpinVersion(object_id_, vseq_, read_pin_);
+  if (!read_pin_) {
+    static obs::Gauge* open_gauge =
+        obs::MetricsRegistry::Default().gauge(obs::kTxnSnapshotsOpen);
+    open_gauge->Add(-1);
+  }
   db_ = nullptr;
 }
 
@@ -1258,13 +1332,12 @@ void Database::DropVersionChains() {
 
 void Database::SeedVersionChains() {
   DropVersionChains();
-  for (auto& [id, entry] : directory_) {
+  for (const auto& [id, entry] : directory_) {
     ObjectVersion v;
     v.vseq = 1;
     v.root = entry.root;
     auto d = LobDescriptor::Deserialize(entry.root);
     if (d.ok()) v.lsn = d.value().lsn;
-    entry.cache_tag = v.vseq;
     VersionShard& shard = ShardFor(id);
     LatchGuard sg(shard.latch);
     shard.chains[id].push_back(std::move(v));
@@ -1277,8 +1350,8 @@ void Database::StageGc(const std::vector<Extent>& extents) {
   gc_ready_.insert(gc_ready_.end(), extents.begin(), extents.end());
 }
 
-uint64_t Database::PublishVersion(uint64_t id, const Bytes& root,
-                                  uint64_t lsn, bool dead) {
+void Database::PublishVersion(uint64_t id, const Bytes& root, uint64_t lsn,
+                              bool dead) {
   static obs::Counter* published =
       obs::MetricsRegistry::Default().counter(obs::kTxnVersionsPublished);
   std::vector<Extent> retired = std::move(pending_retired_);
@@ -1300,19 +1373,17 @@ uint64_t Database::PublishVersion(uint64_t id, const Bytes& root,
     ObjectVersion& prev = chain.back();
     prev.retired.insert(prev.retired.end(), retired.begin(), retired.end());
   }
-  const uint64_t vseq = v.vseq;
   chain.push_back(std::move(v));
   published->Inc();
   CollectChainLocked(id, &chain);
   if (chain.empty()) shard.chains.erase(id);
-  return vseq;
 }
 
 void Database::CollectChainLocked(uint64_t id, VersionChain* chain) {
   static obs::Counter* gcd =
       obs::MetricsRegistry::Default().counter(obs::kTxnVersionsGcd);
   bool advanced = false;
-  while (!chain->empty() && chain->front().pins == 0 &&
+  while (!chain->empty() && !chain->front().pinned() &&
          (chain->size() > 1 || chain->front().dead)) {
     StageGc(chain->front().retired);
     chain->pop_front();
@@ -1328,23 +1399,20 @@ void Database::CollectChainLocked(uint64_t id, VersionChain* chain) {
   }
 }
 
-void Database::ReleaseSnapshotPin(uint64_t id, uint64_t vseq) {
-  static obs::Gauge* open_gauge =
-      obs::MetricsRegistry::Default().gauge(obs::kTxnSnapshotsOpen);
+void Database::UnpinVersion(uint64_t id, uint64_t vseq, bool read_pin) {
   VersionShard& shard = ShardFor(id);
   LatchGuard sg(shard.latch);
   auto it = shard.chains.find(id);
-  if (it != shard.chains.end()) {
-    for (ObjectVersion& v : it->second) {
-      if (v.vseq == vseq) {
-        if (v.pins > 0) --v.pins;
-        break;
-      }
+  if (it == shard.chains.end()) return;
+  for (ObjectVersion& v : it->second) {
+    if (v.vseq == vseq) {
+      uint64_t& pins = read_pin ? v.read_pins : v.pins;
+      if (pins > 0) --pins;
+      break;
     }
-    CollectChainLocked(id, &it->second);
-    if (it->second.empty()) shard.chains.erase(it);
   }
-  open_gauge->Add(-1);
+  CollectChainLocked(id, &it->second);
+  if (it->second.empty()) shard.chains.erase(it);
 }
 
 Status Database::DrainVersionGcLocked() {
@@ -1370,16 +1438,29 @@ Status Database::DrainVersionGcLocked() {
   return Status::OK();
 }
 
-bool Database::HasOpenPins() {
-  for (VersionShard& shard : version_shards_) {
-    LatchGuard sg(shard.latch);
-    for (const auto& [id, chain] : shard.chains) {
-      for (const ObjectVersion& v : chain) {
-        if (v.pins > 0) return true;
+Status Database::DrainPinsLocked(const char* who) {
+  for (;;) {
+    uint64_t snapshots = 0;
+    uint64_t reads = 0;
+    for (VersionShard& shard : version_shards_) {
+      LatchGuard sg(shard.latch);
+      for (const auto& [id, chain] : shard.chains) {
+        for (const ObjectVersion& v : chain) {
+          snapshots += v.pins;
+          reads += v.read_pins;
+        }
       }
     }
+    if (snapshots > 0) {
+      return Status::Busy(
+          std::string("open snapshots pin versions whose storage the "
+                      "rebuild reclaims; release all snapshots before ") +
+          who);
+    }
+    if (reads == 0) return Status::OK();
+    // Each read pin lasts one Read() call and no new one can start.
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
   }
-  return false;
 }
 
 Status Database::CommitMutationLocked(uint64_t id, uint64_t* commit_lsn) {
@@ -1392,29 +1473,45 @@ Status Database::SyncCommit(uint64_t commit_lsn) {
   return log_->SyncToLsn(commit_lsn);
 }
 
+Status Database::PinCurrentVersion(uint64_t id, bool read_pin,
+                                   Snapshot* pin) {
+  VersionShard& shard = ShardFor(id);
+  auto pin_locked = [&]() -> Status {
+    auto it = shard.chains.find(id);
+    if (it == shard.chains.end() || it->second.empty() ||
+        it->second.back().dead) {
+      return Status::NotFound("object " + std::to_string(id));
+    }
+    ObjectVersion& v = it->second.back();
+    EOS_ASSIGN_OR_RETURN(pin->root_, LobDescriptor::Deserialize(v.root));
+    ++(read_pin ? v.read_pins : v.pins);
+    pin->db_ = this;
+    pin->object_id_ = id;
+    pin->vseq_ = v.vseq;
+    pin->lsn_ = v.lsn;
+    pin->read_pin_ = read_pin;
+    return Status::OK();
+  };
+  {
+    LatchGuard sg(shard.latch);
+    if (!pin_gate_closed_.load()) return pin_locked();
+  }
+  // A rebuild is about to drop (or has dropped) every chain. It holds
+  // dir_latch_ exclusive until it has reseeded them and reopened the gate.
+  SharedLatchGuard guard(dir_latch_);
+  LatchGuard sg(shard.latch);
+  return pin_locked();
+}
+
 StatusOr<Snapshot> Database::BeginSnapshot(uint64_t id) {
   if (!options_.mvcc) {
     return Status::InvalidArgument("snapshots require DatabaseOptions::mvcc");
   }
   static obs::Gauge* open_gauge =
       obs::MetricsRegistry::Default().gauge(obs::kTxnSnapshotsOpen);
-  VersionShard& shard = ShardFor(id);
-  LatchGuard sg(shard.latch);
-  auto it = shard.chains.find(id);
-  if (it == shard.chains.end() || it->second.empty() ||
-      it->second.back().dead) {
-    return Status::NotFound("object " + std::to_string(id));
-  }
-  ObjectVersion& v = it->second.back();
-  EOS_ASSIGN_OR_RETURN(LobDescriptor d, LobDescriptor::Deserialize(v.root));
-  ++v.pins;
-  open_gauge->Add(1);
   Snapshot snap;
-  snap.db_ = this;
-  snap.object_id_ = id;
-  snap.vseq_ = v.vseq;
-  snap.lsn_ = v.lsn;
-  snap.root_ = std::move(d);
+  EOS_RETURN_IF_ERROR(PinCurrentVersion(id, /*read_pin=*/false, &snap));
+  open_gauge->Add(1);
   return snap;
 }
 
@@ -1425,16 +1522,10 @@ StatusOr<Bytes> Database::SnapshotRead(const Snapshot& snap, uint64_t offset,
   }
   // No dir_latch_: the pinned root is immutable and version GC keeps every
   // page it references allocated, so concurrent mutators are invisible
-  // here. Page-level consistency is the pager's own latching.
-  obs::ScopedOp span("db.snapshot_read", snap.object_id(), device_.get());
-  // The pinned version is immutable, so its cached extents can never be
-  // stale — hits are lock-free memcpys keyed by the snapshot's own vseq.
-  ScopedExtentCacheRef cache_scope(cache_.get(), snap.object_id(),
-                                   snap.vseq());
-  Bytes out;
-  Status s = lob_->Read(snap.root(), offset, n, &out);
-  if (!s.ok()) return span.Close(std::move(s));
-  return out;
+  // here, and its cached extents can never be stale. Page-level
+  // consistency is the pager's own latching.
+  return ReadRoot("db.snapshot_read", snap.object_id(), snap.root(),
+                  snap.vseq(), offset, n);
 }
 
 StatusOr<std::vector<Database::VersionInfo>> Database::ListVersions(
@@ -1462,7 +1553,7 @@ StatusOr<std::vector<Database::VersionInfo>> Database::ListVersions(
     VersionInfo info;
     info.vseq = v.vseq;
     info.lsn = v.lsn;
-    info.pins = v.pins;
+    info.pins = v.pins + v.read_pins;
     info.retired_extents = static_cast<uint32_t>(v.retired.size());
     info.current = (&v == &it->second.back());
     info.dead = v.dead;
@@ -1508,7 +1599,7 @@ uint64_t Database::MutationClock() { return mutation_clock_.load(); }
 
 Status Database::MigrateObject(uint64_t id, uint64_t horizon,
                                uint32_t headroom_pages) {
-  ExclusiveLatchGuard guard(dir_latch_);
+  DirLatchExclusiveGuard guard(dir_latch_);
   obs::ScopedOp span("db.defrag_migrate", id, device_.get());
   // The cold classification came from an earlier unlatched scan; an object
   // mutated (or dropped) since is no longer the one that was scored.
@@ -1537,7 +1628,7 @@ Status Database::ReleaseMigratedStorage() {
   // Non-crash-safe frees already reached the buddy system inside
   // Reorganize; there is nothing parked to drain.
   if (deferred_frees_ == nullptr) return Status::OK();
-  ExclusiveLatchGuard guard(dir_latch_);
+  DirLatchExclusiveGuard guard(dir_latch_);
   return CheckpointLocked();
 }
 

@@ -96,10 +96,13 @@ struct DatabaseOptions {
   // Multi-version concurrency (DESIGN.md §13): every committed mutation
   // publishes the object's new root into an in-memory version chain, and
   // BeginSnapshot()/SnapshotRead() traverse a pinned version without
-  // touching the directory latch — readers never wait on writers. Implies
-  // index-node shadowing and copy-on-write Replace so no page a pinned
-  // version references is ever overwritten in place; superseded storage is
-  // reclaimed only once no snapshot pins it (through the CheckpointFreeList
+  // touching the directory latch. Read(), Size() and ObjectStats() pin the
+  // current version for the length of the call the same way, so readers
+  // never wait on writers (without mvcc they hold the directory latch
+  // shared across their device reads instead). Implies index-node
+  // shadowing and copy-on-write Replace so no page a pinned version
+  // references is ever overwritten in place; superseded storage is
+  // reclaimed only once no pin holds it (through the CheckpointFreeList
   // when combined with crash_safe). Mutations additionally group-commit
   // their WAL markers (LogManager::LogCommitDurable) when a log is
   // attached.
@@ -178,6 +181,9 @@ class Snapshot {
   uint64_t vseq_ = 0;
   uint64_t lsn_ = 0;
   LobDescriptor root_;
+  // Set on the transient pin one Read()/Size()/ObjectStats() call holds;
+  // clear on a user snapshot from BeginSnapshot().
+  bool read_pin_ = false;
 };
 
 // Result of Database::LeakCheck — the allocation maps cross-checked
@@ -193,13 +199,17 @@ struct LeakCheckReport {
 
 // Concurrency: DESIGN.md §13 gives the latches and the order they nest in
 // (dir_latch_ -> one version shard -> gc_latch_ -> extent-cache shard).
-// dir_latch_ guards the object directory: Read() and stats take it shared,
-// mutations (and checkpoint/recovery/repair) exclusive, which lets the
-// online defragmenter migrate objects from a background thread while
-// foreground readers keep running. BeginSnapshot() and pin release take
-// only their object's version shard, and SnapshotRead() no database latch
-// at all. Per-page consistency below these latches is the pager's and
-// allocator's own short-duration latches.
+// dir_latch_ guards the object directory: mutations (and checkpoint,
+// recovery and repair) take it exclusive, which lets the online
+// defragmenter migrate objects from a background thread while foreground
+// readers keep running. Under mvcc, Read(), Size(), ObjectStats() and
+// BeginSnapshot() pin the current version under their object's version
+// shard and never touch dir_latch_ (except to wait out a RepairObject() or
+// Recover() that has closed the pin gate); pin release takes only the
+// shard, and SnapshotRead() no database latch at all. Without mvcc,
+// Read() and stats hold dir_latch_ shared across their device reads.
+// Per-page consistency below these latches is the pager's and allocator's
+// own short-duration latches.
 class Database : private DefragHost {
  public:
   static constexpr uint32_t kMagic = 0x454F5356;  // "EOSV"
@@ -300,7 +310,9 @@ class Database : private DefragHost {
 
   // Pins the object's current committed version and returns a Snapshot
   // that reads it. Requires options.mvcc. Never blocks on writers: only
-  // the (short, uncontended) version-chain latch is taken.
+  // the (short) version-shard latch is taken. While RepairObject() or
+  // Recover() rebuilds storage it waits for them instead, and pins the
+  // version they reseed.
   StatusOr<Snapshot> BeginSnapshot(uint64_t id);
 
   // Reads min(n, snap.size() - offset) bytes at `offset` from the pinned
@@ -315,7 +327,7 @@ class Database : private DefragHost {
     uint64_t vseq = 0;
     uint64_t lsn = 0;
     uint64_t size = 0;
-    uint64_t pins = 0;
+    uint64_t pins = 0;  // open snapshots plus Read() calls in flight
     PageId root_page = kInvalidPage;  // first child page; invalid if none
     uint32_t retired_extents = 0;     // extents parked until this version GCs
     bool current = false;
@@ -353,7 +365,9 @@ class Database : private DefragHost {
   //      records and removes in-flight effects (Recovery::RecoverObject);
   //   3. drops objects whose last committed record is a destroy, saves the
   //      recovered directory, and checkpoints.
-  // `log` is the surviving write-ahead log, in emit order.
+  // `log` is the surviving write-ahead log, in emit order. Under mvcc it
+  // returns Busy while a Snapshot is open; Read() calls in flight are
+  // waited out, and pins requested meanwhile wait for the reseeded chains.
   Status Recover(const std::vector<LogRecord>& log);
 
   // Buddy invariants of every space plus tree invariants of every object.
@@ -380,7 +394,8 @@ class Database : private DefragHost {
   // fresh storage, and the allocation maps are rebuilt from reachability —
   // the corrupt subtrees cannot be freed through, so the old pages are
   // reclaimed by rebuilding instead. Reads of the repaired object work
-  // normally; GetHoles() says which bytes are fabricated zeroes.
+  // normally; GetHoles() says which bytes are fabricated zeroes. Under mvcc
+  // the same pin rules as Recover() apply.
   Status RepairObject(uint64_t id);
 
   // The object's persisted hole map (empty if never repaired, or repaired
@@ -441,9 +456,17 @@ class Database : private DefragHost {
   // ----- latch-free internals (caller holds dir_latch_) ---------------------
 
   StatusOr<uint64_t> CreateObjectLocked();
-  // Also reports the entry's cache tag when `cache_tag` is non-null.
+  // Also reports the entry's cache tag (non-mvcc only) when `cache_tag` is
+  // non-null.
   StatusOr<LobDescriptor> GetRootLocked(uint64_t id,
                                         uint64_t* cache_tag = nullptr);
+  // Reads `root` of object `id` in a span named `span_name`, binding
+  // `cache_tag` as the extent-cache version. The caller keeps the root's
+  // pages allocated and unchanged for the call: a version pin, or
+  // dir_latch_ shared without mvcc.
+  StatusOr<Bytes> ReadRoot(const char* span_name, uint64_t id,
+                           const LobDescriptor& root, uint64_t cache_tag,
+                           uint64_t offset, uint64_t n);
   Status PutRootLocked(uint64_t id, const LobDescriptor& d);
   Status FlushLocked();
   Status CheckpointLocked();
@@ -458,14 +481,17 @@ class Database : private DefragHost {
 
   // One committed version of one object. `retired` is the storage that
   // died when this version was superseded — the frees the successor's
-  // commit replayed — parked here until pins reaches zero.
+  // commit replayed — parked here until no pin of either kind is left.
   struct ObjectVersion {
     uint64_t vseq = 0;
     Bytes root;  // serialized LobDescriptor; empty for a drop marker
     uint64_t lsn = 0;
-    uint64_t pins = 0;
+    uint64_t pins = 0;       // open Snapshots
+    uint64_t read_pins = 0;  // Read()/Size()/ObjectStats() calls in flight
     bool dead = false;
     std::vector<Extent> retired;
+
+    bool pinned() const { return pins > 0 || read_pins > 0; }
   };
   using VersionChain = std::deque<ObjectVersion>;
 
@@ -481,18 +507,18 @@ class Database : private DefragHost {
   }
 
   // Rebuilds every chain from directory_ (open, recovery): one unpinned
-  // current version per object, whose vseq becomes the entry's cache tag.
-  // Clears gc staging and stale capture state.
+  // current version per object, at vseq 1. Clears gc staging and stale
+  // capture state.
   void SeedVersionChains();
   // Forgets every chain and all staged GC without freeing anything: the
   // storage they describe is about to be reclaimed by an allocation-map
-  // rebuild (Recover, RepairObject).
+  // rebuild (Recover, RepairObject), which has drained every pin first.
   void DropVersionChains();
   // Appends a new current version for `id` under dir_latch_ exclusive,
   // attaching pending_retired_ to the superseded version, then stages
-  // whatever became collectable into gc_ready_. Returns the new vseq.
-  uint64_t PublishVersion(uint64_t id, const Bytes& root, uint64_t lsn,
-                          bool dead);
+  // whatever became collectable into gc_ready_.
+  void PublishVersion(uint64_t id, const Bytes& root, uint64_t lsn,
+                      bool dead);
   // FIFO-drains the chain front (collectable = unpinned and superseded, or
   // an unpinned drop marker), staging retire batches into gc_ready_. When
   // the front advances, cached extents of the collected versions — which no
@@ -502,19 +528,32 @@ class Database : private DefragHost {
   void CollectChainLocked(uint64_t id, VersionChain* chain);
   // Appends to gc_ready_ under gc_latch_.
   void StageGc(const std::vector<Extent>& extents);
-  // Unpin from Snapshot teardown: may run on any thread, takes only the
-  // object's shard latch (and gc_latch_), never calls into the allocator
-  // (a writer may have a capturing interceptor installed) — collectable
-  // storage waits in gc_ready_ for the next exclusive-latched drain.
-  void ReleaseSnapshotPin(uint64_t id, uint64_t vseq);
+  // The pin pair behind BeginSnapshot()/Snapshot::Release() and behind
+  // the transient read pin of Read(), Size() and ObjectStats(). The pair
+  // never moves the txn.snapshots_open gauge; BeginSnapshot() and
+  // Release() do, for user snapshots only. PinCurrentVersion pins the
+  // chain-current version of `id` under its shard latch and fills `pin`
+  // with it. While the pin gate is closed it first waits for the rebuild
+  // on dir_latch_ shared, so it pins the reseeded chain and never one
+  // about to be dropped.
+  Status PinCurrentVersion(uint64_t id, bool read_pin, Snapshot* pin);
+  // May run on any thread, takes only the object's shard latch (and
+  // gc_latch_), never calls into the allocator (a writer may have a
+  // capturing interceptor installed) — collectable storage waits in
+  // gc_ready_ for the next exclusive-latched drain.
+  void UnpinVersion(uint64_t id, uint64_t vseq, bool read_pin);
   // Frees gc_ready_ through the normal allocator path (landing in the
   // CheckpointFreeList in crash-safe mode). Caller holds dir_latch_
   // exclusive with no capture scope installed. No chain is swept here:
   // a chain only becomes collectable by a publish or a pin release, and
   // both collect the chain they changed.
   Status DrainVersionGcLocked();
-  // True if any snapshot pin is open (mvcc only).
-  bool HasOpenPins();
+  // For a rebuild that reclaims everything unreachable from the directory
+  // (RepairObject, Recover; `who` names it): with pin_gate_closed_ set
+  // under dir_latch_ exclusive no new pin can start, so this returns Busy
+  // if an open Snapshot pins a version and otherwise waits until the read
+  // pins in flight are released.
+  Status DrainPinsLocked(const char* who);
   // Emits the WAL commit marker for a successful mvcc mutation — under
   // dir_latch_, so the marker is ordered after the mutation's own records.
   // No-op (commit_lsn stays 0) without mvcc or an attached log.
@@ -550,11 +589,12 @@ class Database : private DefragHost {
   std::map<uint64_t, uint32_t> threshold_hints_;
   LobDescriptor dir_object_;  // the directory's own root
 
-  // One live object. `cache_tag` is the version tag Read() binds into the
-  // extent cache: the chain-current vseq under mvcc, otherwise a mutation
-  // generation bumped on every root publication so stale cache keys die
-  // with their generation. Either way it is maintained under dir_latch_
-  // exclusive, so a reader holding it shared needs no other latch.
+  // One live object. Without mvcc, `cache_tag` is the version tag Read()
+  // binds into the extent cache: a mutation generation bumped on every
+  // root publication under dir_latch_ exclusive, so stale cache keys die
+  // with their generation and a reader holding the latch shared needs no
+  // other latch. Under mvcc it is unused: Read() binds the vseq of the
+  // version it pins.
   struct DirEntry {
     Bytes root;  // serialized LobDescriptor
     uint64_t cache_tag = 1;
@@ -564,8 +604,9 @@ class Database : private DefragHost {
   std::map<uint64_t, std::vector<HoleRange>> holes_;  // id -> hole map
 
   // Reader/writer latch over the directory and all object state above;
-  // shared for reads/stats, exclusive for mutations. Mutable so const
-  // accessors (GetHoles) can latch.
+  // exclusive for mutations, shared for directory walks and, without mvcc,
+  // for reads/stats. Exclusive waits are timed into db.dir_latch_wait_us.
+  // Mutable so const accessors (GetHoles) can latch.
   mutable SharedLatch dir_latch_;
   // Heat tracking for defrag cold/hot classification: every foreground
   // mutation bumps the clock and stamps its object (map guarded by
@@ -577,16 +618,21 @@ class Database : private DefragHost {
 
   // MVCC state. Latch order: dir_latch_ -> one version shard -> gc_latch_
   // -> extent-cache shard. Writers hold dir_latch_ exclusive and then the
-  // one shard of the object they publish; BeginSnapshot and pin release
-  // take only that shard, which is what keeps readers off the directory
-  // latch and off each other. Whole-table walkers take the shards one at
-  // a time, never two at once. gc_ready_ (storage staged for the next
-  // drain) is guarded by gc_latch_; pending_retired_ is a writer-side
-  // staging slot guarded by dir_latch_ exclusive alone.
+  // one shard of the object they publish; pinning and pin release take
+  // only that shard, which is what keeps readers off the directory latch
+  // and off each other. Whole-table walkers take the shards one at a time,
+  // never two at once. gc_ready_ (storage staged for the next drain) is
+  // guarded by gc_latch_; pending_retired_ is a writer-side staging slot
+  // guarded by dir_latch_ exclusive alone.
   std::array<VersionShard, kVersionShards> version_shards_;
   Latch gc_latch_;
   std::vector<Extent> gc_ready_;
   std::vector<Extent> pending_retired_;
+  // The pin gate: set and cleared only under dir_latch_ exclusive, by a
+  // rebuild that is about to drop every chain (DrainPinsLocked). Pinners
+  // read it under their shard latch; finding it set, they wait on
+  // dir_latch_ shared, which the rebuild releases only after clearing it.
+  std::atomic<bool> pin_gate_closed_{false};
 };
 
 }  // namespace eos

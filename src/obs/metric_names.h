@@ -58,6 +58,12 @@ inline constexpr char kTxnVersionsGcd[] = "txn.versions_gcd";
 inline constexpr char kTxnGroupCommitBatch[] =
     "txn.group_commit_batch";  // histogram
 
+// --- database directory latch (contention, DESIGN.md §13) -------------------
+// Microseconds an exclusive dir_latch_ acquisition waited; recorded only
+// when its first try_lock fails, so the count is contended acquisitions.
+inline constexpr char kDbDirLatchWaitUs[] =
+    "db.dir_latch_wait_us";  // histogram
+
 // --- verified I/O (page integrity layer) -----------------------------------
 inline constexpr char kIoChecksumFail[] = "io.checksum_fail";
 inline constexpr char kIoReadRetry[] = "io.read_retry";

@@ -768,6 +768,59 @@ TEST(MvccTortureTest, DeadlineExpiryMidSnapshotRead) {
   ExpectClean(db->get());
 }
 
+// ----- pins across a storage rebuild -----------------------------------------
+
+// RepairObject() drops every version chain and rebuilds the allocation
+// maps from the directory, so a snapshot pinned while it runs would be
+// forgotten and would read reclaimed storage. A BeginSnapshot() that
+// arrives mid-repair must instead wait for the rebuild and pin the version
+// it reseeds.
+TEST(MvccTortureTest, SnapshotBegunMidRepairPinsTheRepairedVersion) {
+  const uint64_t seed = TestSeed(0x4E9A);
+  SCOPED_TRACE("seed " + std::to_string(seed) +
+               " (re-run with EOS_TEST_SEED=<seed>)");
+  auto chaos_owned = std::make_unique<ChaosPageDevice>(
+      std::make_unique<MemPageDevice>(512, 1), seed);
+  ChaosPageDevice* chaos = chaos_owned.get();
+  DatabaseOptions opt = MvccOptions();
+  opt.lob.max_segment_pages = 2;  // many leaves: one slow read each
+  auto db = Database::CreateOnDevice(std::move(chaos_owned), opt);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  Database* dbp = db->get();
+  const Bytes content = PatternBytes(seed, 16u << 10);
+  auto id = dbp->CreateObjectFrom(content);
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  EOS_ASSERT_OK(dbp->Flush());  // Salvage reads the device directly
+
+  // Salvage reads leaf by leaf, each read slowed to 20 ms. Once the first
+  // one has started, the repair is past any pin check it makes up front.
+  chaos->InjectLatency(/*read_us=*/20000, /*write_us=*/0, /*jitter_us=*/0);
+  const uint64_t reads_before = chaos->stats().read_calls;
+  Status repaired;
+  std::thread repair([&] { repaired = dbp->RepairObject(*id); });
+  while (chaos->stats().read_calls == reads_before) std::this_thread::yield();
+  auto snap = dbp->BeginSnapshot(*id);
+  repair.join();
+  chaos->InjectLatency(0, 0, 0);
+  EOS_ASSERT_OK(repaired);
+  ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+
+  auto chain = dbp->ListVersions(*id);
+  ASSERT_TRUE(chain.ok()) << chain.status().ToString();
+  ASSERT_EQ(chain->size(), 1u);
+  EXPECT_EQ(chain->back().vseq, snap->vseq())
+      << "the snapshot pins a version the repair dropped";
+  EXPECT_EQ(chain->back().pins, 1u) << "the repair lost the snapshot's pin";
+  auto got = dbp->SnapshotRead(*snap, 0, content.size() + 1);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(*got, content);
+  snap->Release();
+  chain = dbp->ListVersions(*id);
+  ASSERT_TRUE(chain.ok());
+  EXPECT_EQ(chain->back().pins, 0u);
+  ExpectClean(dbp);
+}
+
 // ----- version-chain introspection -------------------------------------------
 
 TEST(MvccTortureTest, VersionChainIntrospection) {

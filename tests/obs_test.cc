@@ -9,9 +9,12 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <thread>
 
+#include "eos/database.h"
+#include "io/chaos_device.h"
 #include "io/io_stats.h"
 #include "obs/event_journal.h"
 #include "obs/json.h"
@@ -493,6 +496,48 @@ TEST(MetricsTest, DisabledJournalAndCostHooksAreInert) {
   // Prometheus rendering still works while disabled (values just freeze).
   EXPECT_NE(MetricsRegistry::Default().RenderPrometheus().find("# TYPE"),
             std::string::npos);
+}
+
+// Exclusive dir_latch_ acquisitions are timed only when they contend. A
+// mutation that finds the latch free records nothing into
+// db.dir_latch_wait_us; one that waits behind a reader holding it shared
+// (without mvcc, Read() keeps it across its device reads) records one
+// sample of about the rest of that read.
+TEST(MetricsTest, DirLatchWaitRecordsOnlyContendedAcquisitions) {
+  EnabledGuard guard;
+  obs::SetEnabled(true);
+  Histogram* wait =
+      MetricsRegistry::Default().histogram(obs::kDbDirLatchWaitUs);
+  auto chaos_owned = std::make_unique<ChaosPageDevice>(
+      std::make_unique<MemPageDevice>(512, 1), /*seed=*/7);
+  ChaosPageDevice* chaos = chaos_owned.get();
+  DatabaseOptions opt;
+  opt.page_size = 512;
+  auto db = Database::CreateOnDevice(std::move(chaos_owned), opt);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  Database* dbp = db->get();
+  auto id = dbp->CreateObjectFrom(testing_util::PatternBytes(7, 2000));
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+
+  const uint64_t before = wait->count();
+  EOS_ASSERT_OK(dbp->Append(*id, testing_util::PatternBytes(8, 100)));
+  EXPECT_EQ(wait->count(), before) << "an uncontended acquisition was timed";
+
+  constexpr uint64_t kReadUs = 200000;
+  chaos->InjectLatency(/*read_us=*/kReadUs, /*write_us=*/0, /*jitter_us=*/0);
+  const uint64_t reads_before = chaos->stats().read_calls;
+  Status read_status;
+  std::thread reader([&] { read_status = dbp->Read(*id, 0, 100).status(); });
+  while (chaos->stats().read_calls == reads_before) {
+    std::this_thread::yield();
+  }
+  Status appended = dbp->Append(*id, testing_util::PatternBytes(9, 100));
+  reader.join();
+  chaos->InjectLatency(0, 0, 0);
+  EOS_ASSERT_OK(read_status);
+  EOS_ASSERT_OK(appended);
+  EXPECT_EQ(wait->count(), before + 1);
+  EXPECT_GE(wait->max(), kReadUs / 4);
 }
 
 TEST(IoStatsTest, DifferenceAndToString) {

@@ -21,7 +21,11 @@
 #      journal writers, snapshot readers racing writers, cache torture)
 #      under ThreadSanitizer (the `tsan` preset);
 #   3. the full suite, including the `torture` crash-recovery, bit-rot and
-#      stress tests, in the default RelWithDebInfo build;
+#      stress tests, in the default RelWithDebInfo build; then a perfbench
+#      correctness smoke: each workload for 2 s untraced (seed 1), which
+#      drives Read() against concurrent writers on a file-backed volume and
+#      checks every read byte for byte (fails on a non-zero exit or
+#      "correct": false);
 #   4. the seed sweep: every `aging`-, `mvcc`-, `cache`- or
 #      `volume`-labelled suite
 #      re-run under an EOS_TEST_SEED matrix, so single-seed latent bugs
@@ -270,6 +274,31 @@ cmake --preset default
 cmake --build build -j "$JOBS"
 EOS_JOURNAL_DIR="$POSTMORTEM_DIR" \
   ctest --test-dir build --output-on-failure -j "$JOBS"
+
+echo "== [3/4] perfbench correctness smoke (2 s per workload, untraced) =="
+for WORKLOAD in hot_read update_many large_edit; do
+  OUT="build/perfbench_smoke_$WORKLOAD.txt"
+  if ! python3 perfbench/run.py --workload "$WORKLOAD" --seed 1 \
+      --seconds 2 --trace 0 > "$OUT"; then
+    cat "$OUT"
+    echo "perfbench smoke: $WORKLOAD exited non-zero"
+    exit 1
+  fi
+  python3 - "$WORKLOAD" "$OUT" <<'PY'
+import json, sys
+
+workload, path = sys.argv[1], sys.argv[2]
+with open(path) as f:
+    lines = f.read().strip().splitlines()
+result = json.loads(lines[-1]) if lines else {}
+if result.get("correct") is not True:
+    print("\n".join(lines))
+    print(f"perfbench smoke: {workload} is not correct")
+    sys.exit(1)
+print(f"perfbench smoke: {workload} correct, {result['attempted']} ops, "
+      f"{result['failed']} failed")
+PY
+done
 
 echo "== [4/4] seed sweep (labels: aging|mvcc|cache|volume, EOS_TEST_SEED matrix) =="
 for SEED in 4242 31337 99991; do
