@@ -7,6 +7,7 @@
 #include "common/math.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
+#include "obs/span_counts.h"
 
 namespace eos {
 
@@ -150,6 +151,7 @@ void BuddySpace::FreeChunkAndCoalesce(PageHandle& h, uint32_t chunk,
     uint32_t buddy = chunk ^ (uint32_t{1} << type);
     if (!map.IsFreeForCoalesce(buddy, type)) break;
     CoalesceCounter()->Inc();
+    obs::ChargeSpan(obs::SpanCounter::kBuddyCoalesces);
     SetCount(h, type, GetCount(h, type) - 2);
     chunk = chunk < buddy ? chunk : buddy;
     ++type;

@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "obs/metric_names.h"
+#include "obs/span_counts.h"
 
 namespace eos {
 
@@ -126,6 +127,7 @@ StatusOr<Extent> SegmentAllocator::TryAllocate(uint32_t npages) {
         hints_[i] = static_cast<int8_t>(geo_.max_type);
       }
       m_alloc_->Inc();
+      obs::ChargeSpan(obs::SpanCounter::kBuddyAllocs);
       m_alloc_pages_->Record(npages);
       m_free_pages_->Add(-int64_t{npages});
       free_pages_fast_.fetch_sub(npages, std::memory_order_relaxed);
@@ -278,6 +280,7 @@ Status SegmentAllocator::FreeInternal(const Extent& extent) {
     pager_->Invalidate(extent.first + i);
   }
   m_free_->Inc();
+  obs::ChargeSpan(obs::SpanCounter::kBuddyFrees);
   m_free_pages_->Add(extent.pages);
   free_pages_fast_.fetch_add(extent.pages, std::memory_order_relaxed);
   // The free is applied above; the hint is only a search accelerator.

@@ -38,6 +38,7 @@ ExtentCache::ExtentCache(size_t capacity_bytes)
   m_evict_ = reg.counter(obs::kCacheEvict);
   m_invalidate_ = reg.counter(obs::kCacheInvalidate);
   m_resident_ = reg.gauge(obs::kCacheResidentBytes);
+  m_shard_wait_ = reg.histogram(obs::kCacheShardLatchWaitUs);
 }
 
 ExtentCache::Shard& ExtentCache::ShardFor(const Key& k) const {
@@ -130,7 +131,7 @@ bool ExtentCache::Lookup(uint64_t object_id, uint64_t vseq, PageId first,
   bool hit;
   bool age = false;
   {
-    LatchGuard g(shard.latch);
+    obs::TimedLatchGuard g(shard.latch, m_shard_wait_);
     if (++shard.sketch_samples == kShardSamplePeriod) {
       shard.sketch_samples = 0;
       age = true;
@@ -173,7 +174,7 @@ bool ExtentCache::Contains(uint64_t object_id, uint64_t vseq,
   if (capacity_ == 0) return false;
   Key key{object_id, vseq, first};
   Shard& shard = ShardFor(key);
-  LatchGuard g(shard.latch);
+  obs::TimedLatchGuard g(shard.latch, m_shard_wait_);
   return shard.entries.find(key) != shard.entries.end();
 }
 
@@ -192,7 +193,7 @@ bool ExtentCache::WouldAdmit(uint64_t object_id, uint64_t vseq, PageId first,
   if (capacity_ == 0 || len == 0 || len > shard_capacity_) return false;
   Key key{object_id, vseq, first};
   Shard& shard = ShardFor(key);
-  LatchGuard g(shard.latch);
+  obs::TimedLatchGuard g(shard.latch, m_shard_wait_);
   if (shard.entries.find(key) != shard.entries.end()) return false;
   return AdmitsLocked(shard, key, len);
 }
@@ -214,14 +215,14 @@ void ExtentCache::Insert(uint64_t object_id, uint64_t vseq, PageId first,
     return false;
   };
   {
-    LatchGuard g(shard.latch);
+    obs::TimedLatchGuard g(shard.latch, m_shard_wait_);
     if (!admit_locked()) return;
   }
 
   // Copy outside the shard latch; a large image must not serialize readers.
   Bytes image(data, data + len);
 
-  LatchGuard g(shard.latch);
+  obs::TimedLatchGuard g(shard.latch, m_shard_wait_);
   if (!admit_locked()) return;
   EvictForLocked(&shard, len);
   if (shard.resident_bytes + len > shard_capacity_) return;
@@ -244,7 +245,7 @@ void ExtentCache::InvalidateObjectBelow(uint64_t object_id, uint64_t floor) {
   if (capacity_ == 0) return;
   uint64_t dropped = 0;
   for (Shard& shard : shards_) {
-    LatchGuard g(shard.latch);
+    obs::TimedLatchGuard g(shard.latch, m_shard_wait_);
     for (auto it = shard.entries.begin(); it != shard.entries.end();) {
       if (it->first.object_id == object_id && it->first.vseq < floor) {
         auto victim = it++;
@@ -265,7 +266,7 @@ void ExtentCache::InvalidateObjectBelow(uint64_t object_id, uint64_t floor) {
 
 void ExtentCache::Clear() {
   for (Shard& shard : shards_) {
-    LatchGuard g(shard.latch);
+    obs::TimedLatchGuard g(shard.latch, m_shard_wait_);
     while (!shard.entries.empty()) {
       RemoveLocked(&shard, shard.entries.begin(), /*count_evicted=*/false);
     }
@@ -275,7 +276,7 @@ void ExtentCache::Clear() {
 ExtentCache::Stats ExtentCache::GetStats() const {
   Stats out;
   for (const Shard& shard : shards_) {
-    LatchGuard g(shard.latch);
+    obs::TimedLatchGuard g(shard.latch, m_shard_wait_);
     out.hits += shard.hits;
     out.misses += shard.misses;
     out.admitted += shard.admitted;

@@ -190,6 +190,7 @@ class ExtentCache {
   obs::Counter* m_evict_;
   obs::Counter* m_invalidate_;
   obs::Gauge* m_resident_;
+  obs::Histogram* m_shard_wait_;  // contended shard-latch waits, us
 };
 
 // Ambient (thread-local) cache binding. The Database installs one around a

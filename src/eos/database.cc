@@ -65,12 +65,7 @@ class DirLatchExclusiveGuard {
     if (latch_.TryAcquireExclusive()) return;
     static obs::Histogram* wait_us =
         obs::MetricsRegistry::Default().histogram(obs::kDbDirLatchWaitUs);
-    auto start = std::chrono::steady_clock::now();
-    latch_.AcquireExclusive();
-    wait_us->Record(static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - start)
-            .count()));
+    obs::TimeLatchWait(wait_us, [&] { latch_.AcquireExclusive(); });
   }
   ~DirLatchExclusiveGuard() { latch_.ReleaseExclusive(); }
 
@@ -80,6 +75,14 @@ class DirLatchExclusiveGuard {
  private:
   SharedLatch& latch_;
 };
+
+// The version-shard latch as the read path takes it (pin and unpin): a
+// contended acquisition is timed into db.version_latch_wait_us.
+obs::Histogram* VersionLatchWait() {
+  static obs::Histogram* wait_us =
+      obs::MetricsRegistry::Default().histogram(obs::kDbVersionLatchWaitUs);
+  return wait_us;
+}
 
 // Holds the MVCC pin gate closed for one storage rebuild. It lives inside
 // the rebuild's dir_latch_ exclusive section, so a pinner that finds the
@@ -1401,7 +1404,7 @@ void Database::CollectChainLocked(uint64_t id, VersionChain* chain) {
 
 void Database::UnpinVersion(uint64_t id, uint64_t vseq, bool read_pin) {
   VersionShard& shard = ShardFor(id);
-  LatchGuard sg(shard.latch);
+  obs::TimedLatchGuard sg(shard.latch, VersionLatchWait());
   auto it = shard.chains.find(id);
   if (it == shard.chains.end()) return;
   for (ObjectVersion& v : it->second) {
@@ -1493,13 +1496,13 @@ Status Database::PinCurrentVersion(uint64_t id, bool read_pin,
     return Status::OK();
   };
   {
-    LatchGuard sg(shard.latch);
+    obs::TimedLatchGuard sg(shard.latch, VersionLatchWait());
     if (!pin_gate_closed_.load()) return pin_locked();
   }
   // A rebuild is about to drop (or has dropped) every chain. It holds
   // dir_latch_ exclusive until it has reseeded them and reopened the gate.
   SharedLatchGuard guard(dir_latch_);
-  LatchGuard sg(shard.latch);
+  obs::TimedLatchGuard sg(shard.latch, VersionLatchWait());
   return pin_locked();
 }
 

@@ -40,6 +40,7 @@ IoExecutor::~IoExecutor() {
 }
 
 void IoExecutor::RunTask(TaskState* t) {
+  obs::ScopedSpanCharge charge(t->charge);
   Status s;
   if (t->has_ctx) {
     s = t->ctx.Check("io_executor task");
@@ -82,6 +83,7 @@ IoExecutor::Ticket IoExecutor::Submit(std::function<Status()> fn) {
     state->ctx = *ctx;
     state->has_ctx = true;
   }
+  state->charge = obs::SpanCharge::Capture();
   if (workers_.empty()) {
     RunTask(state.get());
     return Ticket(std::move(state));
@@ -107,6 +109,7 @@ Status IoExecutor::RunBatch(std::vector<std::function<Status()>> tasks) {
     return first;
   }
   const OpContext* ctx = ScopedOpContext::Current();
+  obs::SpanCharge charge = obs::SpanCharge::Capture();
   std::vector<std::shared_ptr<TaskState>> states;
   states.reserve(tasks.size());
   {
@@ -118,6 +121,7 @@ Status IoExecutor::RunBatch(std::vector<std::function<Status()>> tasks) {
         state->ctx = *ctx;
         state->has_ctx = true;
       }
+      state->charge = charge;
       queue_.push_back(state);
       states.push_back(std::move(state));
     }

@@ -12,6 +12,7 @@
 
 #include "common/deadline.h"
 #include "common/status.h"
+#include "obs/span_counts.h"
 
 namespace eos {
 
@@ -103,6 +104,9 @@ class IoExecutor {
     // re-installed around fn so device-level checks see it too.
     OpContext ctx;
     bool has_ctx = false;
+    // The submitter's open span, likewise: the task's I/O and component
+    // counts are charged to it, not to whichever thread runs the task.
+    obs::SpanCharge charge;
   };
   using TaskState = Ticket::TaskState;
 

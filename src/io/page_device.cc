@@ -12,6 +12,7 @@
 #include "obs/event_journal.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
+#include "obs/span_counts.h"
 
 namespace eos {
 
@@ -57,7 +58,9 @@ void PageDevice::Account(bool is_read, PageId first, uint32_t n) {
     ByteCounters().bytes_written->Inc(uint64_t{n} * page_size_);
   }
   PageId prev = head_pos_.exchange(first + n, std::memory_order_relaxed);
-  if (prev != first) seeks_.fetch_add(1, std::memory_order_relaxed);
+  bool seek = prev != first;
+  if (seek) seeks_.fetch_add(1, std::memory_order_relaxed);
+  obs::ChargeSpanIo(this, is_read, n, seek);
 }
 
 Status PageDevice::ReadPages(PageId first, uint32_t n, uint8_t* out) {

@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "obs/metric_names.h"
+#include "obs/span_counts.h"
 
 namespace eos {
 
@@ -110,6 +111,7 @@ StatusOr<size_t> Pager::GetFrame(PageId id, bool read, bool* was_hit) {
     map_.erase(frames_[idx].id);
     ++evictions_;
     m_eviction_->Inc();
+    obs::ChargeSpan(obs::SpanCounter::kPagerEvictions);
     m_cached_->Add(-1);
   }
   Frame& f = frames_[idx];
@@ -178,6 +180,8 @@ StatusOr<PageHandle> Pager::Fetch(PageId id) {
   EOS_ASSIGN_OR_RETURN(size_t idx, GetFrame(id, /*read=*/true, &hit));
   hit ? ++hits_ : ++misses_;
   (hit ? m_hit_ : m_miss_)->Inc();
+  obs::ChargeSpan(hit ? obs::SpanCounter::kPagerHits
+                      : obs::SpanCounter::kPagerMisses);
   Frame& f = frames_[idx];
   ++f.pins;
   f.tick = ++tick_;

@@ -5,6 +5,7 @@
 #include "common/math.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
+#include "obs/span_counts.h"
 
 namespace eos {
 
@@ -29,6 +30,7 @@ ReshufflePlan PlanReshuffle(const ReshuffleInput& in) {
   static obs::Histogram* moved =
       obs::MetricsRegistry::Default().histogram(obs::kLobReshuffleMovedBytes);
   plans->Inc();
+  obs::ChargeSpan(obs::SpanCounter::kReshuffles);
 
   ReshufflePlan plan;
   plan.lc = in.lc;

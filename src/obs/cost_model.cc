@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "io/page_device.h"
 #include "obs/metric_names.h"
 
 namespace eos {
@@ -174,15 +173,12 @@ void RecordConformance(CostOp op, const CostEstimate& model,
 
 CostScope::CostScope(CostOp op, const CostEstimate& model,
                      const PageDevice* dev)
-    : op_(op), model_(model), dev_(dev) {
-  if (!Enabled() || dev == nullptr) return;
-  active_ = true;
-  start_ = dev->stats();
+    : op_(op), model_(model) {
+  if (Enabled() && dev != nullptr) window_.emplace(dev);
 }
 
 CostScope::~CostScope() {
-  if (!active_ || !ok_) return;
-  RecordConformance(op_, model_, dev_->stats() - start_);
+  if (window_ && ok_) RecordConformance(op_, model_, window_->Elapsed().io);
 }
 
 }  // namespace obs

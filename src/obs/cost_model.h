@@ -2,9 +2,11 @@
 #define EOS_OBS_COST_MODEL_H_
 
 #include <cstdint>
+#include <optional>
 
 #include "io/io_stats.h"
 #include "obs/metrics.h"
+#include "obs/span_counts.h"
 
 namespace eos {
 
@@ -88,12 +90,13 @@ const char* CostOpName(CostOp op);  // "read", "insert", ...
 void RecordConformance(CostOp op, const CostEstimate& model,
                        const IoStats& actual);
 
-// RAII conformance probe wrapped around an instrumented operation:
-// snapshots the device stats at construction and records
-// predicted-vs-actual at destruction — but only after set_ok(true), so an
-// operation that errored or never ran contributes no sample. Inert (no
-// snapshot, no estimate consumed) when observability is disabled or the
-// device is null.
+// RAII conformance probe wrapped around an instrumented operation: opens
+// a SpanWindow on `dev` at construction and records predicted-vs-actual
+// at destruction — but only after set_ok(true), so an operation that
+// errored or never ran contributes no sample. Like a span, it counts only
+// the calling thread's transfers and those of the executor tasks it
+// submits. Inert (no window, no estimate consumed) when observability is
+// disabled or the device is null.
 class CostScope {
  public:
   CostScope(CostOp op, const CostEstimate& model, const PageDevice* dev);
@@ -105,12 +108,10 @@ class CostScope {
   void set_ok(bool ok) { ok_ = ok; }
 
  private:
-  bool active_ = false;
   bool ok_ = false;
   CostOp op_;
   CostEstimate model_;
-  const PageDevice* dev_;
-  IoStats start_;
+  std::optional<SpanWindow> window_;  // empty when inert
 };
 
 }  // namespace obs

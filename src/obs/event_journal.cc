@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include "obs/metric_names.h"
+#include "obs/op_tracer.h"
 
 #include <algorithm>
 #include <cerrno>
@@ -15,10 +16,6 @@ namespace obs {
 
 const char* EventKindName(EventKind k) {
   switch (k) {
-    case EventKind::kOpBegin:
-      return "op_begin";
-    case EventKind::kOpEnd:
-      return "op_end";
     case EventKind::kIoBatch:
       return "io_batch";
     case EventKind::kChecksumFail:
@@ -42,8 +39,9 @@ const char* EventKindName(EventKind k) {
 // Per-thread ring. The latch is owned by exactly one recording thread and
 // taken by readers only during a dump, so recording is effectively
 // uncontended; it exists to make the slot bytes themselves race-free under
-// TSan when a dump snapshots a live ring.
-struct EventJournal::Ring {
+// TSan when a dump snapshots a live ring. The header has a cache line of
+// its own, so no other thread's recording touches it.
+struct alignas(64) EventJournal::Ring {
   Ring(size_t cap, uint32_t tid_in) : tid(tid_in) { slots.resize(cap); }
 
   const uint32_t tid;  // registration index, stable for the thread's life
@@ -249,6 +247,7 @@ StatusOr<std::string> WritePostMortem(const char* reason) {
   root.Set("eos_test_seed",
            seed != nullptr ? JsonValue::Str(seed) : JsonValue());
   root.Set("journal", EventJournal::Default().ToJsonValue());
+  root.Set("spans", OpTracer::Default().ToJsonValue());
   std::string json = root.Dump();
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {

@@ -21,9 +21,7 @@ namespace obs {
 // What an event records. The numeric args a/b/c are kind-specific; the
 // full schema is in DESIGN.md ("Observability", flight recorder).
 enum class EventKind : uint8_t {
-  kOpBegin = 0,        // a = object id
-  kOpEnd,              // a = object id, b = wall us, c = page transfers
-  kIoBatch,            // a = runs in the batch, b = 0 read / 1 write
+  kIoBatch = 0,        // a = runs in the batch, b = 0 read / 1 write
   kChecksumFail,       // a = page id
   kQuarantine,         // a = page id
   kReservationUnwind,  // a = extents returned
@@ -114,8 +112,9 @@ inline void RecordEvent(EventKind kind, const char* label, uint64_t a = 0,
 //   <dir>/eos_postmortem.<pid>.<reason>.json
 // so every red run ships its own black box. `dir` defaults to
 // $EOS_JOURNAL_DIR, else the working directory. The dump bundles the
-// EOS_TEST_SEED environment variable so the run is reproducible from the
-// file alone.
+// default OpTracer's retained spans (the operations before the failure)
+// and the EOS_TEST_SEED environment variable, so the run is reproducible
+// from the file alone.
 
 void SetPostMortemDir(const std::string& dir);
 std::string PostMortemDir();

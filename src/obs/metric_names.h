@@ -58,11 +58,15 @@ inline constexpr char kTxnVersionsGcd[] = "txn.versions_gcd";
 inline constexpr char kTxnGroupCommitBatch[] =
     "txn.group_commit_batch";  // histogram
 
-// --- database directory latch (contention, DESIGN.md §13) -------------------
-// Microseconds an exclusive dir_latch_ acquisition waited; recorded only
-// when its first try_lock fails, so the count is contended acquisitions.
+// --- database latches (contention, DESIGN.md §13) ---------------------------
+// Microseconds an acquisition waited; recorded only when its first
+// try_lock fails, so the count is contended acquisitions. The directory
+// latch is timed on every exclusive acquisition, the version-shard latch
+// where a read pins and unpins its version.
 inline constexpr char kDbDirLatchWaitUs[] =
     "db.dir_latch_wait_us";  // histogram
+inline constexpr char kDbVersionLatchWaitUs[] =
+    "db.version_latch_wait_us";  // histogram
 
 // --- verified I/O (page integrity layer) -----------------------------------
 inline constexpr char kIoChecksumFail[] = "io.checksum_fail";
@@ -93,6 +97,9 @@ inline constexpr char kCacheEvict[] = "cache.evict";
 inline constexpr char kCacheInvalidate[] = "cache.invalidate";
 inline constexpr char kCacheFillFail[] = "cache.fill_fail";
 inline constexpr char kCacheResidentBytes[] = "cache.resident_bytes";  // gauge
+// Microseconds a contended shard-latch acquisition waited (try_lock first).
+inline constexpr char kCacheShardLatchWaitUs[] =
+    "cache.shard_latch_wait_us";  // histogram
 
 // --- scrub / repair ---------------------------------------------------------
 inline constexpr char kScrubPagesVerified[] = "scrub.pages_verified";

@@ -24,14 +24,79 @@ void SetEnabled(bool on) {
   internal::g_enabled.store(on, std::memory_order_relaxed);
 }
 
-size_t Histogram::BucketOf(uint64_t v) {
-  if (v == 0) return 0;
-  size_t b = 1;
-  while (v > 1) {
-    v >>= 1;
-    ++b;
+namespace internal {
+
+namespace {
+
+static_assert(kStripes <= 64, "stripe ownership is one 64-bit mask");
+
+std::atomic<uint64_t> g_stripes_taken{0};
+
+// Returns the thread's stripe at exit. Updates made later in the thread's
+// teardown go to the shared stripe.
+struct StripeRelease {
+  ~StripeRelease() {
+    uint32_t s = t_stripe;
+    t_stripe = kSharedStripe;
+    if (s < kStripes) {
+      g_stripes_taken.fetch_and(~(uint64_t{1} << s),
+                                std::memory_order_release);
+    }
   }
-  return b < kBuckets ? b : kBuckets - 1;
+};
+
+}  // namespace
+
+uint32_t AssignStripe() {
+  thread_local StripeRelease release;
+  (void)release;
+  constexpr uint64_t kAll =
+      kStripes == 64 ? ~uint64_t{0} : (uint64_t{1} << kStripes) - 1;
+  uint64_t taken = g_stripes_taken.load(std::memory_order_relaxed);
+  for (;;) {
+    uint64_t free_mask = ~taken & kAll;
+    if (free_mask == 0) return t_stripe = kSharedStripe;
+    uint32_t s = static_cast<uint32_t>(std::countr_zero(free_mask));
+    // Acquire: the thread that last held this stripe wrote its cells with
+    // plain stores before releasing it.
+    if (g_stripes_taken.compare_exchange_weak(taken,
+                                              taken | (uint64_t{1} << s),
+                                              std::memory_order_acquire,
+                                              std::memory_order_relaxed)) {
+      return t_stripe = s;
+    }
+  }
+}
+
+}  // namespace internal
+
+uint64_t Counter::value() const {
+  uint64_t total = 0;
+  cells_.ForEach([&](const internal::ScalarCell& c) {
+    total += c.v.load(std::memory_order_relaxed);
+  });
+  return total;
+}
+
+void Counter::Reset() {
+  cells_.ForEach([](internal::ScalarCell& c) {
+    c.v.store(0, std::memory_order_relaxed);
+  });
+}
+
+int64_t Gauge::StripeSum() const {
+  uint64_t total = 0;  // two's-complement deltas, summed modulo 2^64
+  cells_.ForEach([&](const internal::ScalarCell& c) {
+    total += c.v.load(std::memory_order_relaxed);
+  });
+  return static_cast<int64_t>(total);
+}
+
+void Gauge::Reset() {
+  base_.store(0, std::memory_order_relaxed);
+  cells_.ForEach([](internal::ScalarCell& c) {
+    c.v.store(0, std::memory_order_relaxed);
+  });
 }
 
 uint64_t Histogram::BucketUpperBound(size_t b) {
@@ -40,33 +105,58 @@ uint64_t Histogram::BucketUpperBound(size_t b) {
   return (uint64_t{1} << b) - 1;
 }
 
+Histogram::Merged Histogram::Totals() const {
+  Merged t;
+  cells_.ForEach([&](const Cell& c) {
+    for (size_t b = 0; b < kBuckets; ++b) {
+      t.buckets[b] += c.buckets[b].load(std::memory_order_relaxed);
+    }
+    t.sum += c.sum.load(std::memory_order_relaxed);
+    t.max = std::max(t.max, c.max.load(std::memory_order_relaxed));
+  });
+  for (uint64_t n : t.buckets) t.count += n;
+  return t;
+}
+
+uint64_t Histogram::bucket(size_t b) const {
+  uint64_t total = 0;
+  cells_.ForEach([&](const Cell& c) {
+    total += c.buckets[b].load(std::memory_order_relaxed);
+  });
+  return total;
+}
+
 uint64_t Histogram::Percentile(double p) const {
-  uint64_t total = count();
-  if (total == 0) return 0;
+  return PercentileOf(Totals(), p);
+}
+
+uint64_t Histogram::PercentileOf(const Merged& t, double p) {
+  if (t.count == 0) return 0;
   if (p < 0.0) p = 0.0;
   if (p > 1.0) p = 1.0;
   // Rank of the requested quantile, 1-based: ceil(p * total), at least 1.
   // Rounding up keeps the result conservative — p99 over two samples must
   // report the larger one, not the smaller.
-  double exact = p * static_cast<double>(total);
+  double exact = p * static_cast<double>(t.count);
   uint64_t rank = static_cast<uint64_t>(exact);
   if (static_cast<double>(rank) < exact) ++rank;
   if (rank == 0) rank = 1;
   uint64_t seen = 0;
   for (size_t b = 0; b < kBuckets; ++b) {
-    seen += bucket(b);
+    seen += t.buckets[b];
     // The bucket's upper bound can lie above every recorded value; the
     // max is the tighter bound then.
-    if (seen >= rank) return std::min(BucketUpperBound(b), max());
+    if (seen >= rank) return std::min(BucketUpperBound(b), t.max);
   }
-  return max();
+  return t.max;
 }
 
 void Histogram::Reset() {
-  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-  sum_.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
-  max_.store(0, std::memory_order_relaxed);
+  cells_.ForEach([](Cell& c) {
+    for (auto& b : c.buckets) b.store(0, std::memory_order_relaxed);
+    c.sum.store(0, std::memory_order_relaxed);
+    c.max.store(0, std::memory_order_relaxed);
+  });
 }
 
 MetricsRegistry& MetricsRegistry::Default() {
@@ -112,11 +202,12 @@ std::string MetricsRegistry::ToText() const {
     out += name + " = " + std::to_string(gg->value()) + "\n";
   }
   for (const auto& [name, h] : histograms_) {
-    out += name + ": count=" + std::to_string(h->count()) +
-           " mean=" + std::to_string(h->mean()) +
-           " p50=" + std::to_string(h->Percentile(0.50)) +
-           " p99=" + std::to_string(h->Percentile(0.99)) +
-           " max=" + std::to_string(h->max()) + "\n";
+    Histogram::Merged t = h->Totals();
+    out += name + ": count=" + std::to_string(t.count) +
+           " mean=" + std::to_string(t.mean()) +
+           " p50=" + std::to_string(Histogram::PercentileOf(t, 0.50)) +
+           " p99=" + std::to_string(Histogram::PercentileOf(t, 0.99)) +
+           " max=" + std::to_string(t.max) + "\n";
   }
   return out;
 }
@@ -134,17 +225,17 @@ JsonValue MetricsRegistry::ToJsonValue() const {
   }
   JsonValue histograms = JsonValue::Object();
   for (const auto& [name, h] : histograms_) {
+    Histogram::Merged t = h->Totals();
     JsonValue hist = JsonValue::Object();
-    hist.Set("count", JsonValue::Number(static_cast<double>(h->count())));
-    hist.Set("sum", JsonValue::Number(static_cast<double>(h->sum())));
-    hist.Set("mean", JsonValue::Number(h->mean()));
-    hist.Set("p50",
-             JsonValue::Number(static_cast<double>(h->Percentile(0.50))));
-    hist.Set("p90",
-             JsonValue::Number(static_cast<double>(h->Percentile(0.90))));
-    hist.Set("p99",
-             JsonValue::Number(static_cast<double>(h->Percentile(0.99))));
-    hist.Set("max", JsonValue::Number(static_cast<double>(h->max())));
+    hist.Set("count", JsonValue::Number(static_cast<double>(t.count)));
+    hist.Set("sum", JsonValue::Number(static_cast<double>(t.sum)));
+    hist.Set("mean", JsonValue::Number(t.mean()));
+    for (auto [key, p] : {std::pair{"p50", 0.50}, std::pair{"p90", 0.90},
+                          std::pair{"p99", 0.99}}) {
+      hist.Set(key, JsonValue::Number(
+                        static_cast<double>(Histogram::PercentileOf(t, p))));
+    }
+    hist.Set("max", JsonValue::Number(static_cast<double>(t.max)));
     histograms.Set(name, std::move(hist));
   }
   root.Set("counters", std::move(counters));
@@ -183,18 +274,19 @@ std::string MetricsRegistry::RenderPrometheus() const {
   for (const auto& [name, h] : histograms_) {
     std::string p = PromName(name);
     out += "# TYPE " + p + " histogram\n";
+    Histogram::Merged t = h->Totals();
     uint64_t cum = 0;
     for (size_t b = 0; b < Histogram::kBuckets; ++b) {
-      uint64_t n = h->bucket(b);
+      uint64_t n = t.buckets[b];
       if (n == 0) continue;
       cum += n;
       out += p + "_bucket{le=\"" +
              std::to_string(Histogram::BucketUpperBound(b)) + "\"} " +
              std::to_string(cum) + "\n";
     }
-    out += p + "_bucket{le=\"+Inf\"} " + std::to_string(h->count()) + "\n";
-    out += p + "_sum " + std::to_string(h->sum()) + "\n";
-    out += p + "_count " + std::to_string(h->count()) + "\n";
+    out += p + "_bucket{le=\"+Inf\"} " + std::to_string(t.count) + "\n";
+    out += p + "_sum " + std::to_string(t.sum) + "\n";
+    out += p + "_count " + std::to_string(t.count) + "\n";
   }
   return out;
 }

@@ -1,11 +1,9 @@
 #include "obs/op_tracer.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
-
-#include "io/page_device.h"
-#include "obs/event_journal.h"
-#include "obs/metric_names.h"
+#include <tuple>
 
 namespace eos {
 namespace obs {
@@ -40,14 +38,22 @@ Histogram* OpHistogram(const char* op) {
 }  // namespace
 
 // One thread's spans. The latch is taken by the owning thread to record and
-// by readers to copy, so recording is effectively uncontended.
-struct OpTracer::Ring {
+// by readers to copy, so recording is effectively uncontended; the header
+// has a cache line of its own so no other thread's recording touches it.
+struct alignas(64) OpTracer::Ring {
   explicit Ring(size_t cap_in) : cap(cap_in) {}
 
+  struct Slot {
+    OpSpan span;
+    uint64_t end_ns = 0;  // merge key, on the trace epoch
+    uint64_t nth = 0;     // this ring's recording order, breaks time ties
+  };
+
   Latch latch;
-  size_t cap;                 // retained spans, at most
-  std::vector<OpSpan> slots;  // circular once it holds `cap` spans
-  size_t next = 0;            // overwrite cursor once full
+  size_t cap;               // retained spans, at most
+  std::vector<Slot> slots;  // circular once it holds `cap` spans
+  size_t next = 0;          // overwrite cursor once full
+  uint64_t recorded = 0;    // spans ever recorded here since Clear()
 };
 
 OpTracer& OpTracer::Default() {
@@ -101,43 +107,68 @@ void OpTracer::Clear() {
     LatchGuard rg(r->latch);
     r->slots.clear();
     r->next = 0;
+    r->recorded = 0;
   }
-  seq_.store(0, std::memory_order_relaxed);
 }
 
 uint64_t OpTracer::total() const {
-  return seq_.load(std::memory_order_relaxed);
+  LatchGuard g(latch_);
+  uint64_t total = 0;
+  for (const auto& r : rings_) {
+    LatchGuard rg(r->latch);
+    total += r->recorded;
+  }
+  return total;
 }
 
-void OpTracer::Push(OpSpan&& span) {
+void OpTracer::Push(OpSpan&& span, uint64_t end_ns) {
   Ring* ring = RingForThisThread();
-  span.seq = seq_.fetch_add(1, std::memory_order_relaxed) + 1;
   LatchGuard g(ring->latch);
+  uint64_t nth = ++ring->recorded;
   if (ring->slots.size() < ring->cap) {
-    ring->slots.push_back(std::move(span));
-  } else {
-    ring->slots[ring->next] = std::move(span);
-    ring->next = (ring->next + 1) % ring->cap;
+    ring->slots.push_back(Ring::Slot{std::move(span), end_ns, nth});
+    return;
   }
+  Ring::Slot& slot = ring->slots[ring->next];
+  slot.span = std::move(span);
+  slot.end_ns = end_ns;
+  slot.nth = nth;
+  if (++ring->next == ring->cap) ring->next = 0;
 }
 
 std::vector<OpSpan> OpTracer::Spans() const {
-  std::vector<OpSpan> out;
+  struct Entry {
+    Ring::Slot slot;
+    size_t ring;
+  };
+  std::vector<Entry> all;
+  uint64_t total = 0;
   size_t cap;
   {
     LatchGuard g(latch_);
     cap = cap_;
-    for (const auto& r : rings_) {
-      LatchGuard rg(r->latch);
-      out.insert(out.end(), r->slots.begin(), r->slots.end());
+    for (size_t i = 0; i < rings_.size(); ++i) {
+      LatchGuard rg(rings_[i]->latch);
+      total += rings_[i]->recorded;
+      for (const Ring::Slot& s : rings_[i]->slots) all.push_back(Entry{s, i});
     }
   }
   // Each ring keeps its own newest `cap`, so the newest `cap` overall are
-  // all here; merge by sequence and keep those.
-  std::sort(out.begin(), out.end(), [](const OpSpan& a, const OpSpan& b) {
-    return a.seq < b.seq;
+  // all here. A thread's spans end in its recording order, so sorting by
+  // end time keeps each ring's order; ties across rings go by ring.
+  std::sort(all.begin(), all.end(), [](const Entry& a, const Entry& b) {
+    return std::tie(a.slot.end_ns, a.ring, a.slot.nth) <
+           std::tie(b.slot.end_ns, b.ring, b.slot.nth);
   });
-  if (out.size() > cap) out.erase(out.begin(), out.end() - cap);
+  size_t keep = std::min(all.size(), cap);
+  std::vector<OpSpan> out;
+  out.reserve(keep);
+  // Every span dropped, from a ring or here, ended before the kept ones.
+  uint64_t seq = total - keep;
+  for (size_t i = all.size() - keep; i < all.size(); ++i) {
+    out.push_back(all[i].slot.span);
+    out.back().seq = ++seq;
+  }
   return out;
 }
 
@@ -198,52 +229,6 @@ std::string OpTracer::ToText() const {
   return out;
 }
 
-namespace {
-
-struct WellKnown {
-  Counter* pager_hit;
-  Counter* pager_miss;
-  Counter* pager_eviction;
-  Counter* buddy_alloc;
-  Counter* buddy_free;
-  Counter* buddy_coalesce;
-  Counter* reshuffle;
-  Counter* log_records;
-};
-
-const WellKnown& Counters() {
-  static WellKnown* w = [] {
-    MetricsRegistry& r = MetricsRegistry::Default();
-    auto* ww = new WellKnown();
-    ww->pager_hit = r.counter(kPagerHit);
-    ww->pager_miss = r.counter(kPagerMiss);
-    ww->pager_eviction = r.counter(kPagerEviction);
-    ww->buddy_alloc = r.counter(kBuddyAlloc);
-    ww->buddy_free = r.counter(kBuddyFree);
-    ww->buddy_coalesce = r.counter(kBuddyCoalesce);
-    ww->reshuffle = r.counter(kLobReshufflePlans);
-    ww->log_records = r.counter(kTxnLogRecords);
-    return ww;
-  }();
-  return *w;
-}
-
-}  // namespace
-
-ScopedOp::CounterSnap ScopedOp::Snap() {
-  const WellKnown& w = Counters();
-  CounterSnap s;
-  s.pager_hits = w.pager_hit->value();
-  s.pager_misses = w.pager_miss->value();
-  s.pager_evictions = w.pager_eviction->value();
-  s.buddy_allocs = w.buddy_alloc->value();
-  s.buddy_frees = w.buddy_free->value();
-  s.buddy_coalesces = w.buddy_coalesce->value();
-  s.reshuffles = w.reshuffle->value();
-  s.log_records = w.log_records->value();
-  return s;
-}
-
 ScopedOp::ScopedOp(const char* op, uint64_t object_id, PageDevice* device,
                    OpTracer* tracer)
     : op_(op), object_id_(object_id), device_(device) {
@@ -252,42 +237,44 @@ ScopedOp::ScopedOp(const char* op, uint64_t object_id, PageDevice* device,
   tracer_ = tracer != nullptr ? tracer : &OpTracer::Default();
   depth_ = t_open_spans++;
   TraceEpoch();  // pin the epoch no later than the first span's start
+  window_.emplace(device_);
   start_ = std::chrono::steady_clock::now();
-  if (device_ != nullptr) io_start_ = device_->stats();
-  snap_ = Snap();
-  RecordEvent(EventKind::kOpBegin, op_, object_id_);
 }
 
 ScopedOp::~ScopedOp() {
   if (!active_) return;
+  auto end = std::chrono::steady_clock::now();
   --t_open_spans;
-  OpSpan span;
-  span.op = op_;
-  span.object_id = object_id_;
-  span.depth = depth_;
-  span.ok = ok_;
-  span.start_us = static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(start_ -
-                                                            TraceEpoch())
-          .count());
-  span.wall_us = static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - start_)
-          .count());
-  if (device_ != nullptr) span.io = device_->stats() - io_start_;
-  CounterSnap now = Snap();
-  span.pager_hits = now.pager_hits - snap_.pager_hits;
-  span.pager_misses = now.pager_misses - snap_.pager_misses;
-  span.pager_evictions = now.pager_evictions - snap_.pager_evictions;
-  span.buddy_allocs = now.buddy_allocs - snap_.buddy_allocs;
-  span.buddy_frees = now.buddy_frees - snap_.buddy_frees;
-  span.buddy_coalesces = now.buddy_coalesces - snap_.buddy_coalesces;
-  span.reshuffles = now.reshuffles - snap_.reshuffles;
-  span.log_records = now.log_records - snap_.log_records;
+  SpanCounts d = window_->Elapsed();
+  window_.reset();
+  OpSpan span{
+      .op = op_,
+      .object_id = object_id_,
+      .depth = depth_,
+      .ok = ok_,
+      .start_us = static_cast<uint64_t>(
+          std::chrono::duration_cast<std::chrono::microseconds>(start_ -
+                                                                TraceEpoch())
+              .count()),
+      .wall_us = static_cast<uint64_t>(
+          std::chrono::duration_cast<std::chrono::microseconds>(end - start_)
+              .count()),
+      .io = device_ != nullptr ? d.io : IoStats{},
+      .pager_hits = d.pager_hits,
+      .pager_misses = d.pager_misses,
+      .pager_evictions = d.pager_evictions,
+      .buddy_allocs = d.buddy_allocs,
+      .buddy_frees = d.buddy_frees,
+      .buddy_coalesces = d.buddy_coalesces,
+      .reshuffles = d.reshuffles,
+      .log_records = d.log_records,
+  };
   OpHistogram(op_)->Record(span.wall_us);
-  RecordEvent(EventKind::kOpEnd, op_, object_id_, span.wall_us,
-              span.io.transfers(), ok_);
-  tracer_->Push(std::move(span));
+  tracer_->Push(std::move(span),
+                static_cast<uint64_t>(
+                    std::chrono::duration_cast<std::chrono::nanoseconds>(
+                        end - TraceEpoch())
+                        .count()));
 }
 
 }  // namespace obs

@@ -1,10 +1,10 @@
 #ifndef EOS_OBS_OP_TRACER_H_
 #define EOS_OBS_OP_TRACER_H_
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -14,6 +14,7 @@
 #include "io/io_stats.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
+#include "obs/span_counts.h"
 
 namespace eos {
 
@@ -23,14 +24,15 @@ namespace obs {
 
 // One completed traced operation: wall time plus the deltas of the paper's
 // cost quantities (seeks, transfers) and the component counters, attributed
-// to the logical operation that caused them. Deltas are computed from the
-// process-wide metric counters, so concurrent operations see each other's
-// activity folded in — spans attribute cost exactly in the single-writer
-// regime the paper (Section 4.5: lock the root) prescribes per object.
+// to the logical operation that caused them. The deltas come from the
+// recording thread's span totals (obs/span_counts.h), so a span counts its
+// own thread's work and the IoExecutor tasks it submitted, never another
+// client's: attribution stays exact with many concurrent operations, not
+// only in the single-writer regime of the paper's Section 4.5.
 struct OpSpan {
   const char* op = "";      // static string, e.g. "db.append"
   uint64_t object_id = 0;   // 0 when unknown at this layer
-  uint64_t seq = 0;         // monotone per tracer, across all threads
+  uint64_t seq = 0;         // rank in the tracer's end-time order
   uint32_t depth = 0;       // spans already open on this thread at begin
   bool ok = true;
   uint64_t start_us = 0;    // begin time, us since the process trace epoch
@@ -47,11 +49,12 @@ struct OpSpan {
 };
 
 // Bounded in-memory record of recent spans. Each thread records into its
-// own ring (one uncontended latch per ring, so recording threads never
-// queue behind each other); a relaxed-atomic sequence number orders spans
-// across threads, and Spans() merges the rings by it. Keeps the last
-// `capacity` spans overall; total() still counts every span ever recorded
-// so wraparound is observable.
+// own ring (one uncontended latch per ring, on a cache line of its own, so
+// recording threads never touch each other's memory). Spans() merges the
+// rings by end time and keeps the newest `capacity` spans overall; a span's
+// seq is its rank in that order, counted from the first span recorded.
+// total() still counts every span ever recorded so wraparound is
+// observable.
 class OpTracer {
  public:
   static constexpr size_t kDefaultCapacity = 512;
@@ -83,10 +86,10 @@ class OpTracer {
   struct Ring;
 
   Ring* RingForThisThread();
-  void Push(OpSpan&& span);
+  // `end_ns` is the span's end on the trace epoch; it orders the merge.
+  void Push(OpSpan&& span, uint64_t end_ns);
 
   const uint64_t id_;  // process-unique, validates the thread-local ring cache
-  std::atomic<uint64_t> seq_{0};
 
   mutable Latch latch_;  // guards cap_ and rings_/by_thread_ registration
   size_t cap_;
@@ -94,12 +97,13 @@ class OpTracer {
   std::unordered_map<std::thread::id, Ring*> by_thread_;
 };
 
-// RAII span: snapshots the device IoStats and the well-known component
-// counters at construction, and on destruction records the deltas (plus
-// wall time) into the tracer's ring and an "op.<name>.us" latency histogram
-// in the default registry. `op` must be a static string: the histogram is
-// resolved once per name and thread, keyed by its address. Nesting depth is
-// counted per thread. Inert when observability is disabled.
+// RAII span: opens a SpanWindow on the calling thread at construction,
+// and on destruction records the window's deltas (plus wall time) into the
+// tracer's ring and an "op.<name>.us" latency histogram in the default
+// registry. I/O is counted on `device` only. `op` must be a static string:
+// the histogram is resolved once per name and thread, keyed by its
+// address. Nesting depth is counted per thread. Inert when observability
+// is disabled.
 class ScopedOp {
  public:
   // `device` may be null (no I/O attribution); `tracer` defaults to
@@ -119,18 +123,6 @@ class ScopedOp {
   }
 
  private:
-  struct CounterSnap {
-    uint64_t pager_hits = 0;
-    uint64_t pager_misses = 0;
-    uint64_t pager_evictions = 0;
-    uint64_t buddy_allocs = 0;
-    uint64_t buddy_frees = 0;
-    uint64_t buddy_coalesces = 0;
-    uint64_t reshuffles = 0;
-    uint64_t log_records = 0;
-  };
-  static CounterSnap Snap();
-
   bool active_ = false;
   bool ok_ = true;
   const char* op_;
@@ -139,8 +131,7 @@ class ScopedOp {
   OpTracer* tracer_ = nullptr;
   uint32_t depth_ = 0;
   std::chrono::steady_clock::time_point start_;
-  IoStats io_start_;
-  CounterSnap snap_;
+  std::optional<SpanWindow> window_;  // open while active
 };
 
 }  // namespace obs

@@ -9,6 +9,7 @@
 #include "common/crc32c.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
+#include "obs/span_counts.h"
 
 namespace eos {
 
@@ -110,6 +111,7 @@ Status LogManager::EmitLocked(LobDescriptor* d, LogRecord&& r,
   static obs::Counter* log_bytes =
       obs::MetricsRegistry::Default().counter(obs::kTxnLogBytes);
   log_records->Inc();
+  obs::ChargeSpan(obs::SpanCounter::kLogRecords);
   log_bytes->Inc(r.SerializedBytes());
   records_.push_back(std::move(r));
   return Status::OK();

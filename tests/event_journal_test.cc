@@ -1,7 +1,7 @@
 // Flight-recorder tests (DESIGN.md §6): global ordering across per-thread
 // rings, wraparound accounting, lock-light concurrent recording (this
 // suite runs under TSan via the `tsan` label), the disabled no-op path,
-// and post-mortem dump round-trips.
+// and post-mortem dump round-trips, which carry the recent spans.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +15,7 @@
 #include "obs/json.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
+#include "obs/op_tracer.h"
 #include "tests/test_util.h"
 
 namespace eos {
@@ -32,16 +33,16 @@ struct EnabledGuard {
 
 TEST(EventJournalTest, RecordsInGlobalOrderWithFields) {
   EventJournal j(64);
-  j.Record(EventKind::kOpBegin, "lob.read", 7);
+  j.Record(EventKind::kNote, "lob.read", 7);
   j.Record(EventKind::kIoBatch, "read_runs", 3, 0);
-  j.Record(EventKind::kOpEnd, "lob.read", 7, 120, 5, /*ok=*/false);
+  j.Record(EventKind::kNote, "lob.read", 7, 120, 5, /*ok=*/false);
   std::vector<JournalEvent> events = j.MergedEvents();
   ASSERT_EQ(events.size(), 3u);
   for (size_t i = 0; i < events.size(); ++i) {
     EXPECT_EQ(events[i].seq, i + 1) << "seq is dense and ascending";
     EXPECT_EQ(events[i].tid, 0u) << "single writer gets ring 0";
   }
-  EXPECT_EQ(events[0].kind, EventKind::kOpBegin);
+  EXPECT_EQ(events[0].kind, EventKind::kNote);
   EXPECT_EQ(events[0].a, 7u);
   EXPECT_TRUE(events[0].ok);
   EXPECT_STREQ(events[1].label, "read_runs");
@@ -160,6 +161,8 @@ TEST(EventJournalTest, PostMortemDumpRoundTripsAndBundlesSeed) {
   setenv("EOS_TEST_SEED", "12345", /*overwrite=*/1);
   obs::RecordEvent(EventKind::kChaosFault, "torn_write", 9, 2, 3, false);
   obs::RecordEvent(EventKind::kCrash, "chaos_crash");
+  // An operation that ran just before the dump.
+  { obs::ScopedOp span("test.before_crash", 4242, nullptr); }
   uint64_t dumps_before =
       obs::MetricsRegistry::Default().counter(obs::kJournalPostMortems)
           ->value();
@@ -204,6 +207,15 @@ TEST(EventJournalTest, PostMortemDumpRoundTripsAndBundlesSeed) {
   }
   EXPECT_TRUE(saw_fault);
   EXPECT_TRUE(saw_crash);
+  // The dump carries the default tracer's spans, the newest last.
+  const JsonValue* spans = parsed->Find("spans");
+  ASSERT_NE(spans, nullptr);
+  ASSERT_FALSE(spans->elements().empty());
+  const JsonValue& last = spans->elements().back();
+  const JsonValue* op = last.Find("op");
+  ASSERT_NE(op, nullptr);
+  EXPECT_EQ(op->str(), "test.before_crash");
+  EXPECT_EQ(last.NumberOr("object", 0), 4242.0);
   std::remove(path->c_str());
   unsetenv("EOS_TEST_SEED");
 }

@@ -1,20 +1,25 @@
 // Unit tests for the observability layer: metric semantics (counters,
-// gauges, power-of-two histograms), the registry JSON exporter, span
-// nesting (per thread), ring wraparound and the per-thread ring merge in
-// the OpTracer, the on-disk snapshot sidecar, and the IoStats arithmetic
-// the spans are built on.
+// gauges, power-of-two histograms, exact sums over per-thread stripes),
+// the registry JSON exporter, span nesting (per thread), ring wraparound
+// and the per-thread ring merge in the OpTracer, span attribution under
+// concurrency and across the IoExecutor, latch-wait timing, the on-disk
+// snapshot sidecar, and the IoStats arithmetic the spans are built on.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
+#include "common/latch.h"
 #include "eos/database.h"
 #include "io/chaos_device.h"
+#include "io/io_executor.h"
 #include "io/io_stats.h"
 #include "obs/event_journal.h"
 #include "obs/json.h"
@@ -538,6 +543,211 @@ TEST(MetricsTest, DirLatchWaitRecordsOnlyContendedAcquisitions) {
   EOS_ASSERT_OK(appended);
   EXPECT_EQ(wait->count(), before + 1);
   EXPECT_GE(wait->max(), kReadUs / 4);
+}
+
+// Eight threads record one known series each, all at once, into striped
+// metrics; a one-thread replay of the same series is the reference. Every
+// read-side view must agree exactly. A second round runs more threads than
+// there are exclusive stripes, so several share the overflow stripe.
+TEST(MetricsTest, StripedMetricsSumExactlyAcrossThreads) {
+  EnabledGuard guard;
+  obs::SetEnabled(true);
+  constexpr uint64_t kPerThread = 3000;
+  auto record = [](MetricsRegistry& reg, uint64_t t) {
+    Counter* c = reg.counter("test.striped.counter");
+    Gauge* g = reg.gauge("test.striped.gauge");
+    Histogram* h = reg.histogram("test.striped.hist");
+    for (uint64_t i = 0; i < kPerThread; ++i) {
+      uint64_t v = (i * 7919 + t * 104729) % (uint64_t{1} << (i % 40));
+      c->Inc(v % 7 + 1);
+      g->Add(t % 2 == 0 ? static_cast<int64_t>(v % 5)
+                        : -static_cast<int64_t>(v % 3));
+      h->Record(v);
+    }
+  };
+  for (uint64_t threads : {uint64_t{8}, uint64_t{obs::internal::kStripes + 8}}) {
+    MetricsRegistry striped;
+    MetricsRegistry reference;
+    std::atomic<uint64_t> ready{0};
+    std::vector<std::thread> pool;
+    for (uint64_t t = 0; t < threads; ++t) {
+      pool.emplace_back([&, t] {
+        ready.fetch_add(1);
+        while (ready.load() < threads) std::this_thread::yield();
+        record(striped, t);
+      });
+    }
+    for (auto& th : pool) th.join();
+    for (uint64_t t = 0; t < threads; ++t) record(reference, t);
+
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    EXPECT_EQ(striped.counter("test.striped.counter")->value(),
+              reference.counter("test.striped.counter")->value());
+    EXPECT_EQ(striped.gauge("test.striped.gauge")->value(),
+              reference.gauge("test.striped.gauge")->value());
+    const Histogram* hs = striped.histogram("test.striped.hist");
+    const Histogram* hr = reference.histogram("test.striped.hist");
+    EXPECT_EQ(hs->count(), threads * kPerThread);
+    EXPECT_EQ(hs->count(), hr->count());
+    EXPECT_EQ(hs->sum(), hr->sum());
+    EXPECT_EQ(hs->max(), hr->max());
+    for (double p : {0.0, 0.25, 0.5, 0.9, 0.99, 0.999, 1.0}) {
+      EXPECT_EQ(hs->Percentile(p), hr->Percentile(p)) << "p=" << p;
+    }
+    for (size_t b = 0; b < Histogram::kBuckets; ++b) {
+      EXPECT_EQ(hs->bucket(b), hr->bucket(b)) << "bucket " << b;
+    }
+    EXPECT_EQ(striped.RenderPrometheus(), reference.RenderPrometheus());
+  }
+}
+
+// A TimedLatchGuard that finds its latch free records nothing; one that
+// queues behind a holder records one sample of about the hold.
+TEST(MetricsTest, TimedLatchGuardRecordsOnlyContendedWaits) {
+  EnabledGuard guard;
+  obs::SetEnabled(true);
+  Latch latch;
+  Histogram wait;
+  { obs::TimedLatchGuard g(latch, &wait); }
+  EXPECT_EQ(wait.count(), 0u);
+
+  constexpr auto kHold = std::chrono::milliseconds(100);
+  std::atomic<bool> held{false};
+  std::thread holder([&] {
+    latch.Acquire();
+    held.store(true);
+    std::this_thread::sleep_for(kHold);
+    latch.Release();
+  });
+  while (!held.load()) std::this_thread::yield();
+  { obs::TimedLatchGuard g(latch, &wait); }
+  holder.join();
+  EXPECT_EQ(wait.count(), 1u);
+  EXPECT_GE(wait.max(), 25000u);
+}
+
+// Two threads read different objects through one Database, each inside a
+// span of its own, and both spans stay open across both reads. Each span
+// must report its own read exactly as that read measures when run alone:
+// device I/O and pager traffic of the other thread are not its work.
+TEST(OpTracerTest, ConcurrentSpansCountOnlyTheirOwnIo) {
+  EnabledGuard guard;
+  obs::SetEnabled(true);
+  DatabaseOptions opt;
+  opt.page_size = 512;
+  opt.cache_bytes = 0;  // every read goes to the device
+  // One-page segments under a small root: each object is ~50 segments
+  // below index pages, so a read descends them through the pager.
+  opt.lob.max_segment_pages = 1;
+  opt.lob.threshold_pages = 1;
+  opt.lob.max_root_bytes = 128;
+  auto db_or = Database::CreateOnDevice(
+      std::make_unique<MemPageDevice>(opt.page_size, 1), opt);
+  ASSERT_TRUE(db_or.ok()) << db_or.status().ToString();
+  Database* db = db_or->get();
+  uint64_t ids[2];
+  for (uint64_t k = 0; k < 2; ++k) {
+    auto id = db->CreateObjectFrom(testing_util::PatternBytes(k + 1, 24000));
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
+    ids[k] = *id;
+  }
+  auto size = [&](uint64_t id) {
+    auto n = db->Size(id);
+    EXPECT_TRUE(n.ok());
+    return n.ok() ? *n : 0;
+  };
+  // Warm the pager, so every read below finds the same frames cached.
+  for (uint64_t id : ids) ASSERT_TRUE(db->Read(id, 0, size(id)).ok());
+
+  OpSpan alone[2];
+  for (int k = 0; k < 2; ++k) {
+    OpTracer tracer(4);
+    {
+      ScopedOp span("test.alone", ids[k], db->device(), &tracer);
+      ASSERT_TRUE(db->Read(ids[k], 0, size(ids[k])).ok());
+    }
+    ASSERT_EQ(tracer.Spans().size(), 1u);
+    alone[k] = tracer.Spans()[0];
+    ASSERT_GT(alone[k].io.pages_read, 0u);
+    ASSERT_GT(alone[k].pager_hits, 0u) << "the read must descend the index";
+  }
+
+  OpTracer tracer(8);
+  std::atomic<int> arrived{0};
+  auto await = [&](int n) {
+    arrived.fetch_add(1);
+    while (arrived.load() < n) std::this_thread::yield();
+  };
+  std::vector<std::thread> readers;
+  for (int k = 0; k < 2; ++k) {
+    readers.emplace_back([&, k] {
+      ScopedOp span("test.concurrent", ids[k], db->device(), &tracer);
+      await(2);  // both spans open before either reads
+      EXPECT_TRUE(db->Read(ids[k], 0, size(ids[k])).ok());
+      await(4);  // neither span closes before both reads are done
+    });
+  }
+  for (auto& r : readers) r.join();
+
+  std::vector<OpSpan> spans = tracer.Spans();
+  ASSERT_EQ(spans.size(), 2u);
+  for (const OpSpan& s : spans) {
+    const OpSpan& want = alone[s.object_id == ids[0] ? 0 : 1];
+    SCOPED_TRACE("object " + std::to_string(s.object_id));
+    EXPECT_EQ(s.io.pages_read, want.io.pages_read);
+    EXPECT_EQ(s.io.read_calls, want.io.read_calls);
+    EXPECT_EQ(s.io.pages_written, want.io.pages_written);
+    EXPECT_EQ(s.pager_hits, want.pager_hits);
+    EXPECT_EQ(s.pager_misses, want.pager_misses);
+    EXPECT_EQ(s.pager_evictions, want.pager_evictions);
+  }
+}
+
+// Executor tasks charge the span that submitted them: a batch's transfers
+// show in the submitting span whichever thread ran them. A task still
+// running when its span closes (an abandoned read-ahead) charges nothing
+// afterwards, so it never shows in a later span of the same thread.
+TEST(OpTracerTest, ExecutorTasksChargeTheSpanThatSubmittedThem) {
+  EnabledGuard guard;
+  obs::SetEnabled(true);
+  MemPageDevice dev(512, 16);
+  IoExecutor exec(2);
+  OpTracer tracer(8);
+  {
+    ScopedOp span("test.batch", 1, &dev, &tracer);
+    std::vector<std::function<Status()>> tasks;
+    for (PageId p = 0; p < 8; ++p) {
+      tasks.push_back([&dev, p] {
+        uint8_t buf[512];
+        return dev.ReadPages(p, 1, buf);
+      });
+    }
+    EOS_ASSERT_OK(exec.RunBatch(std::move(tasks)));
+  }
+  std::atomic<bool> go{false};
+  IoExecutor::Ticket late;
+  {
+    ScopedOp span("test.arm", 2, &dev, &tracer);
+    late = exec.Submit([&dev, &go] {
+      while (!go.load()) std::this_thread::yield();
+      uint8_t buf[512];
+      return dev.ReadPages(9, 1, buf);
+    });
+  }
+  {
+    ScopedOp span("test.later", 3, &dev, &tracer);
+    go.store(true);
+    EOS_ASSERT_OK(late.Wait());
+  }
+  std::vector<OpSpan> spans = tracer.Spans();
+  ASSERT_EQ(spans.size(), 3u);
+  EXPECT_STREQ(spans[0].op, "test.batch");
+  EXPECT_EQ(spans[0].io.read_calls, 8u);
+  EXPECT_EQ(spans[0].io.pages_read, 8u);
+  EXPECT_STREQ(spans[1].op, "test.arm");
+  EXPECT_EQ(spans[1].io.pages_read, 0u) << "the read ran after it closed";
+  EXPECT_STREQ(spans[2].op, "test.later");
+  EXPECT_EQ(spans[2].io.pages_read, 0u) << "another span's read-ahead";
 }
 
 TEST(IoStatsTest, DifferenceAndToString) {

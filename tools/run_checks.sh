@@ -25,7 +25,10 @@
 #      correctness smoke: each workload for 2 s untraced (seed 1), which
 #      drives Read() against concurrent writers on a file-backed volume and
 #      checks every read byte for byte (fails on a non-zero exit or
-#      "correct": false);
+#      "correct": false); then an observability cost gate: one traced
+#      hot_read run (5 s, seed 1) whose obs.read_overhead — a cached
+#      read's p50 with observability on over its p50 with EOS_OBS=0, minus
+#      1 — must not exceed OBS_READ_OVERHEAD_MAX;
 #   4. the seed sweep: every `aging`-, `mvcc`-, `cache`- or
 #      `volume`-labelled suite
 #      re-run under an EOS_TEST_SEED matrix, so single-seed latent bugs
@@ -299,6 +302,38 @@ print(f"perfbench smoke: {workload} correct, {result['attempted']} ops, "
       f"{result['failed']} failed")
 PY
 done
+
+# Bound on hot_read's traced obs.read_overhead. Thirteen runs of the gate
+# command below, after spans moved to per-thread totals and metric cells
+# to per-thread stripes, read 0.14-0.55 (4-vCPU VM); before that change
+# it read 1.61. Only hot_read is gated: large_edit's figure flips sign
+# from run to run (its ~400 us reads bury the hooks).
+OBS_READ_OVERHEAD_MAX=0.8
+echo "== [3/4] observability cost gate (hot_read, 5 s, traced) =="
+OUT="build/perfbench_obs_gate.txt"
+if ! python3 perfbench/run.py --workload hot_read --seed 1 --seconds 5 \
+    --trace 1 > "$OUT"; then
+  cat "$OUT"
+  echo "observability gate: hot_read exited non-zero"
+  exit 1
+fi
+python3 - "$OUT" "$OBS_READ_OVERHEAD_MAX" <<'PY'
+import json, sys
+
+path, bound = sys.argv[1], float(sys.argv[2])
+with open(path) as f:
+    lines = f.read().strip().splitlines()
+result = json.loads(lines[-1]) if lines else {}
+overhead = result.get("metrics", {}).get("obs.read_overhead", {}).get("value")
+if result.get("correct") is not True or overhead is None:
+    print("\n".join(lines))
+    print("observability gate: no correct traced result")
+    sys.exit(1)
+verdict = "ok" if overhead <= bound else "FAIL"
+print(f"observability gate: obs.read_overhead {overhead:.3f} "
+      f"(bound {bound}) {verdict}")
+sys.exit(0 if overhead <= bound else 1)
+PY
 
 echo "== [4/4] seed sweep (labels: aging|mvcc|cache|volume, EOS_TEST_SEED matrix) =="
 for SEED in 4242 31337 99991; do
