@@ -238,14 +238,56 @@ Status SegmentAllocator::Free(const Extent& extent) {
     m_free_deferred_->Inc();
     return Status::OK();
   }
-  if (free_interceptor_ != nullptr &&
-      free_interceptor_->InterceptFree(extent)) {
-    // Deferred: the segment stays allocated under a release lock until the
-    // owning transaction commits.
+  if (options_.crash_safe) {
+    // Parked: a durable root may still reach these pages until the next
+    // checkpoint supersedes it.
+    ParkUntilCheckpoint(extent);
     m_free_deferred_->Inc();
     return Status::OK();
   }
   return FreeInternal(extent);
+}
+
+Status SegmentAllocator::FreeAll(const std::vector<Extent>& extents) {
+  Status first;
+  for (const Extent& e : extents) {
+    Status s = Free(e);
+    if (!s.ok()) {
+      ParkUntilCheckpoint(e);
+      if (first.ok()) first = std::move(s);
+    }
+  }
+  return first;
+}
+
+void SegmentAllocator::ParkUntilCheckpoint(const Extent& extent) {
+  LatchGuard g(checkpoint_frees_latch_);
+  checkpoint_frees_.push_back(extent);
+}
+
+Status SegmentAllocator::ReleaseCheckpointFrees() {
+  std::vector<Extent> parked;
+  {
+    LatchGuard g(checkpoint_frees_latch_);
+    parked.swap(checkpoint_frees_);
+  }
+  for (size_t i = 0; i < parked.size(); ++i) {
+    Status s = FreeInternal(parked[i]);
+    if (!s.ok()) {
+      // A free that a volume outage refused stays parked for the next
+      // attempt, with everything behind it, instead of leaking.
+      LatchGuard g(checkpoint_frees_latch_);
+      checkpoint_frees_.insert(checkpoint_frees_.begin(), parked.begin() + i,
+                               parked.end());
+      return s;
+    }
+  }
+  return Status::OK();
+}
+
+std::vector<Extent> SegmentAllocator::checkpoint_frees() const {
+  LatchGuard g(checkpoint_frees_latch_);
+  return checkpoint_frees_;
 }
 
 Status SegmentAllocator::FreeForUnwind(const Extent& extent) {
@@ -432,6 +474,13 @@ Status SegmentAllocator::CheckInvariants() {
 
 Status SegmentAllocator::WipeAndRebuild(const std::vector<Extent>& live) {
   LatchGuard g(op_latch_);
+  {
+    // Whatever waited for a checkpoint is unreachable, so the rebuild
+    // frees it; returning it again later would double-free pages the
+    // rebuilt maps may have handed out since.
+    LatchGuard c(checkpoint_frees_latch_);
+    checkpoint_frees_.clear();
+  }
   for (uint32_t i = 0; i < num_spaces_; ++i) {
     EOS_RETURN_IF_ERROR(Space(i).Format());
   }

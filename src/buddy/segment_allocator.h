@@ -17,16 +17,6 @@
 
 namespace eos {
 
-// Hook for transactional deferred frees ([Lehm89]'s release locks,
-// Section 4.5): when installed, Free() offers each extent to the
-// interceptor first; a true return means the extent stays allocated until
-// the owning transaction commits and frees it for real.
-class FreeInterceptor {
- public:
-  virtual ~FreeInterceptor() = default;
-  virtual bool InterceptFree(const Extent& extent) = 0;
-};
-
 // Per-space free-list summary for fragmentation reporting.
 struct SpaceReport {
   uint32_t space = 0;
@@ -80,6 +70,11 @@ class SegmentAllocator {
     // packing them onto the first volume. Off by default so single-volume
     // layouts (and the cost-model conformance suite) are unchanged.
     bool rotate_spaces = false;
+    // Crash-safe volumes ([Lehm89]'s release locks at volume scope,
+    // Section 4.5): Free() parks every extent on the checkpoint list, so
+    // no page a durable root can reach is reused before the next
+    // checkpoint makes a newer root durable.
+    bool crash_safe = false;
   };
 
   // While one of these is live on the current thread, allocations may dip
@@ -120,8 +115,15 @@ class SegmentAllocator {
   StatusOr<Extent> AllocateAtMost(uint32_t npages);
 
   // Frees an extent or any sub-range of one (used to trim segments with
-  // one-page precision, Section 4.1).
+  // one-page precision, Section 4.1). Inside a SpaceReservation the free is
+  // parked on the reservation; on a crash-safe allocator it waits on the
+  // checkpoint list.
   Status Free(const Extent& extent);
+
+  // Free() of each extent, for a caller that no longer references any of
+  // them: one whose free fails waits on the checkpoint list instead of
+  // leaking. Returns the first failure.
+  Status FreeAll(const std::vector<Extent>& extents);
 
   uint32_t num_spaces() const { return num_spaces_; }
   const BuddyGeometry& geometry() const { return geo_; }
@@ -137,7 +139,8 @@ class SegmentAllocator {
 
   // Free pages from the in-memory counter — no directory I/O, safe on the
   // admission-control hot path. Tracks TryAllocate/Free exactly; parked
-  // (reservation/interceptor) frees count as allocated until applied.
+  // (reservation or checkpoint-list) frees count as allocated until
+  // applied.
   uint64_t free_pages_fast() const;
 
   // The emergency floor (Options::emergency_reserve_pages, adjustable at
@@ -165,7 +168,8 @@ class SegmentAllocator {
   // allocation maps may be torn or stale, but the object trees — walked
   // from the recovered roots — say precisely which pages are in use, so
   // reachability is the ground truth the maps are rebuilt from. Extents
-  // that overlap each other are rejected as corruption.
+  // that overlap each other are rejected as corruption. Empties the
+  // checkpoint list: the rebuild already reclaimed everything on it.
   Status WipeAndRebuild(const std::vector<Extent>& live);
 
   // Fragmentation snapshot of every space.
@@ -180,35 +184,25 @@ class SegmentAllocator {
   // at storage the buddy system actually considers live.
   StatusOr<bool> IsAllocated(const Extent& extent);
 
-  // ---- unwind-failed frees -------------------------------------------------
+  // ---- the checkpoint list --------------------------------------------------
 
-  // An extent a reservation unwind could not return (its buddy directory
-  // page was unreachable, e.g. during a volume outage). No root references
-  // it, so it must eventually reach the buddy maps — never a transactional
-  // free list, whose entries a failed operation drops. Parked extents are
-  // retried by Database::Checkpoint and counted as reachable by LeakCheck.
-  void DeferUnwindFree(const Extent& extent) {
-    LatchGuard g(unwind_frees_latch_);
-    deferred_unwind_frees_.push_back(extent);
-  }
-  std::vector<Extent> TakeDeferredUnwindFrees() {
-    LatchGuard g(unwind_frees_latch_);
-    std::vector<Extent> out;
-    out.swap(deferred_unwind_frees_);
-    return out;
-  }
-  std::vector<Extent> deferred_unwind_frees() const {
-    LatchGuard g(unwind_frees_latch_);
-    return deferred_unwind_frees_;
-  }
+  // Extents that stay allocated until the next checkpoint: every free of a
+  // crash-safe allocator, and any extent whose free failed (its buddy
+  // directory page was unreachable, e.g. during a volume outage). No root
+  // references them, so each must eventually reach the buddy maps.
+  // LeakCheck counts them as reachable.
 
-  // Installs (or clears, with nullptr) the deferred-free hook.
-  void set_free_interceptor(FreeInterceptor* interceptor) {
-    free_interceptor_ = interceptor;
-  }
-  // Currently installed hook (nullptr if none) — lets a scoped interceptor
-  // chain the previous one back on exit (buddy/free_capture.h).
-  FreeInterceptor* free_interceptor() const { return free_interceptor_; }
+  // Parks an extent a reservation unwind could not return.
+  void DeferUnwindFree(const Extent& extent) { ParkUntilCheckpoint(extent); }
+
+  // Returns the parked extents to the buddy maps, in parking order. The
+  // caller has made every root that could reach them durably superseded.
+  // On a failed free, that extent and every one behind it stay parked for
+  // the next attempt.
+  Status ReleaseCheckpointFrees();
+
+  // A copy of the list, for LeakCheck.
+  std::vector<Extent> checkpoint_frees() const;
 
   // Telemetry for the superdirectory experiment (E3): how many space
   // directories have been examined by allocation requests.
@@ -225,15 +219,18 @@ class SegmentAllocator {
   friend class SpaceReservation;
 
   // Unwind path of SpaceReservation: frees an extent immediately, skipping
-  // the reservation and any interceptor (no durable root ever referenced
-  // it).
+  // the reservation and the checkpoint list (no durable root ever
+  // referenced it).
   Status FreeForUnwind(const Extent& extent);
 
   // Unwind path of SpaceReservation: rewrites a page from its saved image.
   void RestorePageImage(PageId page, const Bytes& image);
 
-  // The latched buddy free shared by Free() and FreeForUnwind(); drops the
-  // pages' cached frames once they are free.
+  void ParkUntilCheckpoint(const Extent& extent);
+
+  // The latched buddy free behind Free(), FreeForUnwind() and
+  // ReleaseCheckpointFrees(); drops the pages' cached frames once they are
+  // free.
   Status FreeInternal(const Extent& extent);
 
   // Counts the call and fires the armed test fault, if any (under op_latch_).
@@ -271,9 +268,8 @@ class SegmentAllocator {
   uint64_t directory_visits_ = 0;
   uint64_t rotate_cursor_ = 0;  // under op_latch_ (rotate_spaces placer)
   Latch op_latch_;  // serializes allocator operations
-  mutable Latch unwind_frees_latch_;
-  std::vector<Extent> deferred_unwind_frees_;
-  FreeInterceptor* free_interceptor_ = nullptr;
+  mutable Latch checkpoint_frees_latch_;
+  std::vector<Extent> checkpoint_frees_;
   // Atomics so the const accessors need no latch; mutations happen under
   // op_latch_ (or before the allocator is shared).
   std::atomic<int64_t> free_pages_fast_{0};

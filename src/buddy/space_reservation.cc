@@ -1,6 +1,7 @@
 #include "buddy/space_reservation.h"
 
 #include <cstring>
+#include <utility>
 
 #include "buddy/segment_allocator.h"
 #include "io/pager.h"
@@ -70,24 +71,18 @@ void SpaceReservation::RecordPageImage(PageId page, const uint8_t* data,
   preimages_.emplace_back(page, Bytes(data, data + len));
 }
 
-Status SpaceReservation::Commit() {
-  if (!active_ || settled_) return Status::OK();
+std::vector<Extent> SpaceReservation::Commit() {
+  if (!active_ || settled_) return {};
   settled_ = true;
   preimages_.clear();
   tracked_.clear();
-  // Unregister before replaying so the frees take the normal path (a
-  // transactional interceptor must see them) instead of parking here.
+  // Unregister so the caller's frees of the returned extents take the
+  // normal path instead of parking here again.
   SpaceReservation** p = &g_top;
   while (*p != nullptr && *p != this) p = &(*p)->prev_;
   if (*p == this) *p = prev_;
   active_ = false;
-  Status first;
-  for (const Extent& e : parked_frees_) {
-    Status s = allocator_->Free(e);
-    if (first.ok() && !s.ok()) first = std::move(s);
-  }
-  parked_frees_.clear();
-  return first;
+  return std::exchange(parked_frees_, {});
 }
 
 void SpaceReservation::Unwind() {
@@ -102,16 +97,15 @@ void SpaceReservation::Unwind() {
   }
   preimages_.clear();
   // 2. Return the operation's own allocations. No durable root references
-  //    them, so this bypasses both the reservation and any interceptor;
+  //    them, so this bypasses both the reservation and the checkpoint list;
   //    cached frames are dropped so a stale flush can never trample a
   //    future reuse of the page.
   for (size_t i = tracked_.size(); i-- > 0;) {
     Status s = allocator_->FreeForUnwind(tracked_[i]);
     if (!s.ok()) {
       // The buddy maps were unreachable (e.g. a volume outage mid-unwind).
-      // Park the extent on the allocator's retry list instead of leaking
-      // it: a transactional free list would drop it with the failed op,
-      // but no root references it, so the next checkpoint must free it.
+      // No root references the extent, so instead of leaking it waits on
+      // the allocator's checkpoint list for the next checkpoint to free it.
       allocator_->DeferUnwindFree(tracked_[i]);
     }
   }

@@ -24,14 +24,15 @@ class SegmentAllocator;
 //     (NodeStore::Write), so the on-disk tree can be put back exactly.
 //
 // Commit() ends the scope keeping the new state: tracked extents stay
-// allocated (the new tree references them) and parked frees are replayed
-// through the normal Free path, so a transactional FreeInterceptor still
-// sees them. Destruction without Commit() unwinds: pre-images are written
-// back, tracked extents are returned to the buddy system (bypassing any
-// interceptor — no durable root ever referenced them), and parked frees
-// are dropped (the pre-op tree still references those pages). Either way
-// the allocation maps account for every page: a mid-operation NoSpace or
-// I/O failure leaks nothing.
+// allocated (the new tree references them) and the parked frees are handed
+// back to the caller, who decides when the old tree's storage may be
+// reused (Database: with the superseded version under mvcc, otherwise
+// through Free()). Destruction without Commit() unwinds: pre-images are
+// written back, tracked extents are returned to the buddy system directly
+// (no durable root ever referenced them), and parked frees are dropped
+// (the pre-op tree still references those pages). Either way the
+// allocation maps account for every page: a mid-operation NoSpace or I/O
+// failure leaks nothing.
 //
 // Scopes nest: an inner reservation on the same allocator is an inert
 // pass-through, so composed operations (e.g. Insert falling back to
@@ -47,11 +48,10 @@ class SpaceReservation {
   // False for a nested pass-through scope (the outer scope owns unwind).
   bool active() const { return active_; }
 
-  // Keeps the new state: replays parked frees and deactivates unwind.
-  // After a non-OK status (an I/O failure while replaying a free) the
-  // reservation is still deactivated — the new tree is already live, so
-  // unwinding would be worse than the stranded free.
-  Status Commit();
+  // Keeps the new state and deactivates unwind. Returns the parked frees:
+  // the storage only the pre-op tree references. A nested pass-through
+  // scope returns none (the outer scope owns them).
+  std::vector<Extent> Commit();
 
   // The reservation observing the current thread's traffic on `allocator`,
   // or nullptr.

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <optional>
 #include <thread>
 
-#include "buddy/free_capture.h"
 #include "buddy/geometry.h"
 #include "common/math.h"
 #include "io/verified_device.h"
@@ -40,21 +40,6 @@ StatusOr<uint16_t> PeekEpoch(PageDevice* dev) {
   if (DecodeU32(page.data()) != Database::kMagic) return uint16_t{0};
   return DecodeU16(page.data() + 30);
 }
-
-// Directory maintenance is internal bookkeeping: its large-object writes
-// must not appear in the user-visible operation log.
-class ScopedDirLogSuspend {
- public:
-  explicit ScopedDirLogSuspend(LobManager* lob)
-      : lob_(lob), saved_(lob->log_manager()) {
-    lob_->set_log_manager(nullptr);
-  }
-  ~ScopedDirLogSuspend() { lob_->set_log_manager(saved_); }
-
- private:
-  LobManager* lob_;
-  LogManager* saved_;
-};
 
 // Exclusive hold of dir_latch_. An uncontended acquisition is one
 // try_lock; only when that fails is the wait timed into
@@ -283,6 +268,7 @@ StatusOr<std::unique_ptr<Database>> Database::Init(
   // Consecutive spaces live on different volume-set members; rotating the
   // scan start stripes objects across them instead of packing member 0.
   aopt.rotate_spaces = vs != nullptr;
+  aopt.crash_safe = options.crash_safe;
   if (fresh) {
     EOS_ASSIGN_OR_RETURN(db->allocator_,
                          SegmentAllocator::Format(db->pager_.get(), geo,
@@ -298,11 +284,7 @@ StatusOr<std::unique_ptr<Database>> Database::Init(
   if (options.parallel_io) {
     db->lob_->set_io_executor(IoExecutor::Default());
   }
-  if (options.crash_safe) {
-    db->lob_->set_shadowing(true);
-    db->deferred_frees_ = std::make_unique<CheckpointFreeList>();
-    db->allocator_->set_free_interceptor(db->deferred_frees_.get());
-  }
+  if (options.crash_safe) db->lob_->set_shadowing(true);
   if (options.mvcc) {
     // Snapshot readers traverse superseded versions while writers publish
     // new ones; no page a pinned version references may ever be rewritten
@@ -427,9 +409,10 @@ Status Database::LoadDirectory() {
 Status Database::SaveDirectory() {
   // The directory rewrite is maintenance, not a user mutation: it must
   // complete even on a full volume (a refused delete could otherwise never
-  // durably leave the directory), so it may consume the emergency reserve.
+  // durably leave the directory), so it may consume the emergency reserve,
+  // and its large-object writes must not appear in the operation log.
   SegmentAllocator::EmergencyScope emergency;
-  ScopedDirLogSuspend suspend(lob_.get());
+  LobManager::ScopedLogSuspend suspend(lob_.get());
   Bytes all;
   if (!directory_.empty()) {
     all.resize(12);
@@ -484,7 +467,9 @@ StatusOr<uint64_t> Database::CreateObjectLocked() {
   LobDescriptor d = lob_->CreateEmpty();
   DirEntry& entry = directory_[id];
   entry.root = d.Serialize();
-  if (options_.mvcc) PublishVersion(id, entry.root, d.lsn, /*dead=*/false);
+  if (options_.mvcc) {
+    PublishVersion(id, entry.root, d.lsn, /*dead=*/false, /*retired=*/{});
+  }
   TouchLocked(id);
   Status s = SaveDirectory();
   if (!s.ok()) return span.Close(std::move(s));
@@ -498,28 +483,62 @@ StatusOr<uint64_t> Database::CreateObject() {
 
 StatusOr<uint64_t> Database::CreateObjectFrom(ByteView data) {
   uint64_t id = 0;
+  // Append (not CreateFrom) so the initial content is a logged operation;
+  // a one-shot append of a known size produces the same exact layout.
+  EOS_RETURN_IF_ERROR(Mutate("db.create_object_from", &id, {},
+                             [&](LobDescriptor* d) {
+                               return lob_->Append(d, data);
+                             }));
+  return id;
+}
+
+Status Database::Mutate(const char* span_name, uint64_t* id,
+                        const MutationPolicy& policy, const MutationOp& op) {
+  obs::ScopedOp span(span_name, *id, device_.get());
   uint64_t commit_lsn = 0;
   {
     DirLatchExclusiveGuard guard(dir_latch_);
-    EOS_ASSIGN_OR_RETURN(id, CreateObjectLocked());
-    obs::ScopedOp span("db.create_object_from", id, device_.get());
-    if (log_ != nullptr) log_->set_current_object(id);
-    // Append (not CreateFrom) so the initial content is a logged operation;
-    // a one-shot append of a known size produces the same exact layout.
-    LobDescriptor d = lob_->CreateEmpty();
-    {
-      ScopedFreeCapture capture(allocator_.get(), options_.mvcc);
-      Status s = lob_->Append(&d, data);
-      if (!s.ok()) return span.Close(std::move(s));
-      pending_retired_ = capture.TakeCaptured();
+    const bool create = *id == 0;
+    if (create) {
+      // CreateObjectLocked admits, touches and saves the new, empty object.
+      StatusOr<uint64_t> created = CreateObjectLocked();
+      if (!created.ok()) return span.Close(created.status());
+      *id = *created;
+    } else {
+      auto heat = last_mutation_.find(*id);
+      if (heat != last_mutation_.end() && heat->second > policy.cold_horizon) {
+        return span.Close(Status::Busy("object went hot before migration"));
+      }
+      if (policy.headroom > 0) {
+        Status adm = allocator_->AdmitMutation(policy.headroom);
+        if (!adm.ok()) return span.Close(std::move(adm));
+      }
     }
-    Status s = PutRootLocked(id, d);
+    StatusOr<LobDescriptor> root = GetRootLocked(*id);
+    if (!root.ok()) return span.Close(root.status());
+    LobDescriptor d = std::move(root).value();
+    std::optional<SegmentAllocator::EmergencyScope> emergency;
+    if (policy.headroom == 0) emergency.emplace();
+    std::vector<Extent> freed;
+    {
+      // The outermost scope: a failed op unwinds here, and a committed one
+      // hands back the storage only the old root reaches.
+      SpaceReservation reservation(allocator_.get());
+      Status s = op(&d);
+      if (!s.ok()) return span.Close(std::move(s));
+      freed = reservation.Commit();
+    }
+    // CreateObjectLocked has touched a new object already.
+    if (policy.user && !create && !policy.drop) TouchLocked(*id);
+    Status s = PublishRootLocked(*id, policy.drop ? nullptr : &d,
+                                 std::move(freed));
     if (!s.ok()) return span.Close(std::move(s));
-    s = CommitMutationLocked(id, &commit_lsn);
-    if (!s.ok()) return span.Close(std::move(s));
+    if (policy.user) {
+      s = CommitMutationLocked(*id, &commit_lsn);
+      if (!s.ok()) return span.Close(std::move(s));
+    }
   }
-  EOS_RETURN_IF_ERROR(SyncCommit(commit_lsn));
-  return id;
+  return span.Close(SyncCommit(commit_lsn));
 }
 
 StatusOr<LobDescriptor> Database::GetRootLocked(uint64_t id,
@@ -530,6 +549,7 @@ StatusOr<LobDescriptor> Database::GetRootLocked(uint64_t id,
   }
   EOS_ASSIGN_OR_RETURN(LobDescriptor d,
                        LobDescriptor::Deserialize(it->second.root));
+  d.object_id = id;
   auto hint = threshold_hints_.find(id);
   if (hint != threshold_hints_.end()) d.threshold_hint = hint->second;
   if (cache_tag != nullptr) *cache_tag = it->second.cache_tag;
@@ -551,48 +571,51 @@ void Database::SetObjectThreshold(uint64_t id, uint32_t threshold_pages) {
 }
 
 Status Database::ReorganizeObject(uint64_t id) {
-  DirLatchExclusiveGuard guard(dir_latch_);
-  obs::ScopedOp span("db.reorganize", id, device_.get());
-  Status adm = allocator_->AdmitMutation();
-  if (!adm.ok()) return span.Close(std::move(adm));
-  EOS_ASSIGN_OR_RETURN(LobDescriptor d, GetRootLocked(id));
-  {
-    ScopedFreeCapture capture(allocator_.get(), options_.mvcc);
-    Status s = lob_->Reorganize(&d);
-    if (!s.ok()) return span.Close(std::move(s));
-    pending_retired_ = capture.TakeCaptured();
-  }
-  return span.Close(PutRootLocked(id, d));
+  return Mutate("db.reorganize", &id, {.user = false},
+                [&](LobDescriptor* d) { return lob_->Reorganize(d); });
 }
 
-Status Database::PutRootLocked(uint64_t id, const LobDescriptor& d) {
+Status Database::PublishRootLocked(uint64_t id, const LobDescriptor* d,
+                                   std::vector<Extent> freed) {
   auto it = directory_.find(id);
   if (it == directory_.end()) {
-    pending_retired_.clear();  // nothing published; drop any stale capture
     return Status::NotFound("object " + std::to_string(id));
   }
-  DirEntry& entry = it->second;
-  entry.root = d.Serialize();
+  const bool drop = d == nullptr;
+  Bytes root = drop ? Bytes{} : d->Serialize();
+  if (drop) {
+    directory_.erase(it);
+    holes_.erase(id);
+    last_mutation_.erase(id);
+  } else {
+    it->second.root = root;
+  }
+  Status released;
   if (options_.mvcc) {
     // Publish before the directory save: the in-memory root above is the
     // current version from here on even if the save fails (the next
-    // successful save persists it), and snapshot pins must track it.
-    PublishVersion(id, entry.root, d.lsn, /*dead=*/false);
+    // successful save persists it), and snapshot pins must track it. A
+    // drop publishes a marker, so open snapshots keep reading the final
+    // content version.
+    PublishVersion(id, root, drop ? 0 : d->lsn, drop, std::move(freed));
   } else {
     // Without version chains the cache key is the per-object mutation
     // generation; bump it and drop the dead generation's entries (the new
     // root may reuse leaf extents the old one wrote in place).
-    ++entry.cache_tag;
+    if (!drop) ++it->second.cache_tag;
     if (cache_ != nullptr) cache_->InvalidateObject(id);
+    // Freed before the directory save, which may reuse the pages.
+    released = allocator_->FreeAll(freed);
   }
   Status s = SaveDirectory();
   Status gc = DrainVersionGcLocked();
+  if (!released.ok()) return released;
   return s.ok() ? gc : s;
 }
 
 Status Database::PutRoot(uint64_t id, const LobDescriptor& d) {
   DirLatchExclusiveGuard guard(dir_latch_);
-  Status s = PutRootLocked(id, d);
+  Status s = PublishRootLocked(id, &d, {});
   if (s.ok()) TouchLocked(id);
   return s;
 }
@@ -610,43 +633,8 @@ StatusOr<std::vector<uint64_t>> Database::ListObjects() {
 }
 
 Status Database::DropObject(uint64_t id) {
-  obs::ScopedOp span("db.drop_object", id, device_.get());
-  uint64_t commit_lsn = 0;
-  {
-    DirLatchExclusiveGuard guard(dir_latch_);
-    auto it = directory_.find(id);
-    if (it == directory_.end()) {
-      return span.Close(Status::NotFound("object " + std::to_string(id)));
-    }
-    EOS_ASSIGN_OR_RETURN(LobDescriptor d,
-                         LobDescriptor::Deserialize(it->second.root));
-    if (log_ != nullptr) log_->set_current_object(id);
-    // Destroy only frees, but the scope keeps any transient allocation
-    // (and the follow-up directory save) working on a full volume.
-    SegmentAllocator::EmergencyScope emergency;
-    {
-      ScopedFreeCapture capture(allocator_.get(), options_.mvcc);
-      Status s = lob_->Destroy(&d);
-      if (!s.ok()) return span.Close(std::move(s));
-      pending_retired_ = capture.TakeCaptured();
-    }
-    directory_.erase(it);
-    holes_.erase(id);
-    last_mutation_.erase(id);
-    if (cache_ != nullptr && !options_.mvcc) cache_->InvalidateObject(id);
-    if (options_.mvcc) {
-      // Drop marker: open snapshots keep reading the final content
-      // version; the tree's extents free once the last pin releases.
-      PublishVersion(id, Bytes{}, 0, /*dead=*/true);
-    }
-    Status s = SaveDirectory();
-    if (!s.ok()) return span.Close(std::move(s));
-    s = CommitMutationLocked(id, &commit_lsn);
-    if (!s.ok()) return span.Close(std::move(s));
-    s = DrainVersionGcLocked();
-    if (!s.ok()) return span.Close(std::move(s));
-  }
-  return span.Close(SyncCommit(commit_lsn));
+  return Mutate("db.drop_object", &id, {.headroom = 0, .drop = true},
+                [&](LobDescriptor* d) { return lob_->Destroy(d); });
 }
 
 StatusOr<uint64_t> Database::Size(uint64_t id) {
@@ -690,105 +678,33 @@ StatusOr<Bytes> Database::ReadRoot(const char* span_name, uint64_t id,
 }
 
 Status Database::Append(uint64_t id, ByteView data) {
-  obs::ScopedOp span("db.append", id, device_.get());
-  uint64_t commit_lsn = 0;
-  {
-    DirLatchExclusiveGuard guard(dir_latch_);
-    Status adm = allocator_->AdmitMutation();
-    if (!adm.ok()) return span.Close(std::move(adm));
-    EOS_ASSIGN_OR_RETURN(LobDescriptor d, GetRootLocked(id));
-    if (log_ != nullptr) log_->set_current_object(id);
-    {
-      ScopedFreeCapture capture(allocator_.get(), options_.mvcc);
-      Status s = lob_->Append(&d, data);
-      if (!s.ok()) return span.Close(std::move(s));
-      pending_retired_ = capture.TakeCaptured();
-    }
-    TouchLocked(id);
-    Status s = PutRootLocked(id, d);
-    if (!s.ok()) return span.Close(std::move(s));
-    s = CommitMutationLocked(id, &commit_lsn);
-    if (!s.ok()) return span.Close(std::move(s));
-  }
-  return span.Close(SyncCommit(commit_lsn));
+  return Mutate("db.append", &id, {},
+                [&](LobDescriptor* d) { return lob_->Append(d, data); });
 }
 
 Status Database::Insert(uint64_t id, uint64_t offset, ByteView data) {
-  obs::ScopedOp span("db.insert", id, device_.get());
-  uint64_t commit_lsn = 0;
-  {
-    DirLatchExclusiveGuard guard(dir_latch_);
-    Status adm = allocator_->AdmitMutation();
-    if (!adm.ok()) return span.Close(std::move(adm));
-    EOS_ASSIGN_OR_RETURN(LobDescriptor d, GetRootLocked(id));
-    if (log_ != nullptr) log_->set_current_object(id);
-    {
-      ScopedFreeCapture capture(allocator_.get(), options_.mvcc);
-      Status s = lob_->Insert(&d, offset, data);
-      if (!s.ok()) return span.Close(std::move(s));
-      pending_retired_ = capture.TakeCaptured();
-    }
-    TouchLocked(id);
-    Status s = PutRootLocked(id, d);
-    if (!s.ok()) return span.Close(std::move(s));
-    s = CommitMutationLocked(id, &commit_lsn);
-    if (!s.ok()) return span.Close(std::move(s));
-  }
-  return span.Close(SyncCommit(commit_lsn));
+  return Mutate("db.insert", &id, {}, [&](LobDescriptor* d) {
+    return lob_->Insert(d, offset, data);
+  });
 }
 
 Status Database::Delete(uint64_t id, uint64_t offset, uint64_t n) {
-  obs::ScopedOp span("db.delete", id, device_.get());
-  uint64_t commit_lsn = 0;
-  {
-    DirLatchExclusiveGuard guard(dir_latch_);
-    EOS_ASSIGN_OR_RETURN(LobDescriptor d, GetRootLocked(id));
-    if (log_ != nullptr) log_->set_current_object(id);
-    // Deletes net-free storage, so they are always admitted — and their
-    // transient allocations (subtree rebuilds, node shadows) may draw on the
-    // emergency reserve: refusing the one operation that reclaims space
-    // would wedge a full volume.
-    SegmentAllocator::EmergencyScope emergency;
-    {
-      ScopedFreeCapture capture(allocator_.get(), options_.mvcc);
-      Status s = lob_->Delete(&d, offset, n);
-      if (!s.ok()) return span.Close(std::move(s));
-      pending_retired_ = capture.TakeCaptured();
-    }
-    TouchLocked(id);
-    Status s = PutRootLocked(id, d);
-    if (!s.ok()) return span.Close(std::move(s));
-    s = CommitMutationLocked(id, &commit_lsn);
-    if (!s.ok()) return span.Close(std::move(s));
-  }
-  return span.Close(SyncCommit(commit_lsn));
+  // Deletes net-free storage, so they are always admitted — and their
+  // transient allocations (subtree rebuilds, node shadows) may draw on the
+  // emergency reserve: refusing the one operation that reclaims space
+  // would wedge a full volume.
+  return Mutate("db.delete", &id, {.headroom = 0}, [&](LobDescriptor* d) {
+    return lob_->Delete(d, offset, n);
+  });
 }
 
 Status Database::Replace(uint64_t id, uint64_t offset, ByteView data) {
-  obs::ScopedOp span("db.replace", id, device_.get());
-  uint64_t commit_lsn = 0;
-  {
-    DirLatchExclusiveGuard guard(dir_latch_);
-    // Replace rewrites bytes in place and allocates nothing, but it is
-    // still a logged user mutation; only reads and deletes stay admitted
-    // when full. (Under mvcc it *does* allocate: copy-on-write leaves.)
-    Status adm = allocator_->AdmitMutation();
-    if (!adm.ok()) return span.Close(std::move(adm));
-    EOS_ASSIGN_OR_RETURN(LobDescriptor d, GetRootLocked(id));
-    if (log_ != nullptr) log_->set_current_object(id);
-    {
-      ScopedFreeCapture capture(allocator_.get(), options_.mvcc);
-      Status s = lob_->Replace(&d, offset, data);
-      if (!s.ok()) return span.Close(std::move(s));
-      pending_retired_ = capture.TakeCaptured();
-    }
-    TouchLocked(id);
-    Status s = PutRootLocked(id, d);
-    if (!s.ok()) return span.Close(std::move(s));
-    s = CommitMutationLocked(id, &commit_lsn);
-    if (!s.ok()) return span.Close(std::move(s));
-  }
-  return span.Close(SyncCommit(commit_lsn));
+  // Replace rewrites bytes in place and allocates nothing, but it is still
+  // a logged user mutation; only reads and deletes stay admitted when
+  // full. (Under mvcc it *does* allocate: copy-on-write leaves.)
+  return Mutate("db.replace", &id, {}, [&](LobDescriptor* d) {
+    return lob_->Replace(d, offset, data);
+  });
 }
 
 StatusOr<LobStats> Database::ObjectStats(uint64_t id) {
@@ -818,46 +734,14 @@ Status Database::Flush() {
 Status Database::CheckpointLocked() {
   // Checkpointing *releases* space; it must never be refused for lack of it.
   SegmentAllocator::EmergencyScope emergency;
-  // Version GC first: extents whose last pinning snapshot closed flow
-  // through the normal free path here, landing in the checkpoint free list
-  // below so this very checkpoint reclaims them.
+  // Version GC first: extents whose last pinning snapshot closed reach
+  // the allocator here, which parks them in crash-safe mode, so this very
+  // checkpoint reclaims them.
   EOS_RETURN_IF_ERROR(DrainVersionGcLocked());
   EOS_RETURN_IF_ERROR(FlushLocked());
-  // Every root that could reach the parked segments is durably superseded
-  // now; detach the interceptor so the frees reach the buddy system.
-  FreeInterceptor* saved = allocator_->free_interceptor();
-  allocator_->set_free_interceptor(nullptr);
-  Status s;
-  // Extents a reservation unwind could not return (volume outage) retry
-  // first: no root references them, so they may only ever reach the buddy
-  // maps — never a transactional free list a failed op would drop.
-  std::vector<Extent> unwound = allocator_->TakeDeferredUnwindFrees();
-  for (size_t i = 0; i < unwound.size(); ++i) {
-    s = allocator_->Free(unwound[i]);
-    if (!s.ok()) {
-      for (size_t j = i; j < unwound.size(); ++j) {
-        allocator_->DeferUnwindFree(unwound[j]);
-      }
-      break;
-    }
-  }
-  if (s.ok() && deferred_frees_ != nullptr) {
-    std::vector<Extent> parked = deferred_frees_->TakeAll();
-    for (size_t i = 0; i < parked.size(); ++i) {
-      s = allocator_->Free(parked[i]);
-      if (!s.ok()) {
-        // Re-park the failed extent and everything behind it: a free that
-        // a volume outage refused must stay on the checkpoint list for the
-        // next attempt, not fall off into a leak.
-        for (size_t j = i; j < parked.size(); ++j) {
-          deferred_frees_->InterceptFree(parked[j]);
-        }
-        break;
-      }
-    }
-  }
-  allocator_->set_free_interceptor(saved);
-  return s;
+  // Every root that could reach the parked extents is durably superseded
+  // now, so they may reach the buddy maps.
+  return allocator_->ReleaseCheckpointFrees();
 }
 
 Status Database::Checkpoint() {
@@ -994,8 +878,8 @@ Status Database::LeakCheck(LeakCheckReport* report) {
   // sweep would report its transient state as a leak.
   DirLatchExclusiveGuard guard(dir_latch_);
   *report = LeakCheckReport{};
-  // 1. Everything a root can reach, plus checkpoint-parked frees (those
-  //    are allocated on purpose until the next Checkpoint drains them).
+  // 1. Everything a root can reach, plus the allocator's checkpoint list
+  //    (allocated on purpose until the next Checkpoint drains it).
   std::vector<Extent> refs;
   if (!dir_object_.empty()) {
     EOS_RETURN_IF_ERROR(lob_->CollectExtents(dir_object_, &refs));
@@ -1005,16 +889,7 @@ Status Database::LeakCheck(LeakCheckReport* report) {
                          LobDescriptor::Deserialize(entry.root));
     EOS_RETURN_IF_ERROR(lob_->CollectExtents(d, &refs));
   }
-  if (deferred_frees_ != nullptr) {
-    for (const Extent& e : deferred_frees_->parked_extents()) {
-      refs.push_back(e);
-    }
-  }
-  // Unwind-failed frees are likewise allocated on purpose until a
-  // checkpoint manages to return them to the buddy maps.
-  for (const Extent& e : allocator_->deferred_unwind_frees()) {
-    refs.push_back(e);
-  }
+  for (const Extent& e : allocator_->checkpoint_frees()) refs.push_back(e);
   // 1b. Version-chain coverage (MVCC): superseded version roots, their
   //     retire batches, and extents staged for version GC are allocated on
   //     purpose while snapshots may still read them. Shadowing means a
@@ -1233,7 +1108,7 @@ Status Database::RepairObject(uint64_t id) {
 
   // Rewrite into fresh storage. Directory bookkeeping is internal, and so
   // is the salvage rewrite — neither belongs in the operation log.
-  ScopedDirLogSuspend suspend(lob_.get());
+  LobManager::ScopedLogSuspend suspend(lob_.get());
   EOS_ASSIGN_OR_RETURN(LobDescriptor repaired, lob_->CreateFrom(content));
   directory_[id].root = repaired.Serialize();
   if (holes.empty()) {
@@ -1246,11 +1121,9 @@ Status Database::RepairObject(uint64_t id) {
 
   // The old tree cannot be freed *through* — its corrupt pages are exactly
   // why we are here — so reclaim by rebuilding the allocation maps from
-  // reachability, as crash recovery does. Parked deferred frees describe
-  // extents by the same unreachable trees; drop them (WipeAndRebuild
-  // frees everything unreachable anyway, and the roots become durable at
-  // the Flush below, so early reuse is safe).
-  if (deferred_frees_ != nullptr) (void)deferred_frees_->TakeAll();
+  // reachability, as crash recovery does. The rebuild also empties the
+  // allocator's checkpoint list: those extents are unreachable too, and
+  // the roots become durable at the Flush below, so early reuse is safe.
   // Version chains reference the same untrusted trees; with every pin
   // drained and the gate closed (above) they are dropped outright and
   // reseeded from the repaired directory once the rebuild is durable.
@@ -1326,11 +1199,8 @@ void Database::DropVersionChains() {
     LatchGuard sg(shard.latch);
     shard.chains.clear();
   }
-  {
-    LatchGuard gg(gc_latch_);
-    gc_ready_.clear();
-  }
-  pending_retired_.clear();
+  LatchGuard gg(gc_latch_);
+  gc_ready_.clear();
 }
 
 void Database::SeedVersionChains() {
@@ -1354,11 +1224,9 @@ void Database::StageGc(const std::vector<Extent>& extents) {
 }
 
 void Database::PublishVersion(uint64_t id, const Bytes& root, uint64_t lsn,
-                              bool dead) {
+                              bool dead, std::vector<Extent> retired) {
   static obs::Counter* published =
       obs::MetricsRegistry::Default().counter(obs::kTxnVersionsPublished);
-  std::vector<Extent> retired = std::move(pending_retired_);
-  pending_retired_.clear();
   VersionShard& shard = ShardFor(id);
   LatchGuard sg(shard.latch);
   VersionChain& chain = shard.chains[id];
@@ -1602,35 +1470,24 @@ uint64_t Database::MutationClock() { return mutation_clock_.load(); }
 
 Status Database::MigrateObject(uint64_t id, uint64_t horizon,
                                uint32_t headroom_pages) {
-  DirLatchExclusiveGuard guard(dir_latch_);
-  obs::ScopedOp span("db.defrag_migrate", id, device_.get());
-  // The cold classification came from an earlier unlatched scan; an object
-  // mutated (or dropped) since is no longer the one that was scored.
-  auto heat = last_mutation_.find(id);
-  if (heat != last_mutation_.end() && heat->second > horizon) {
-    return span.Close(Status::Busy("object went hot before migration"));
-  }
-  Status adm = allocator_->AdmitMutation(std::max<uint32_t>(1, headroom_pages));
-  if (!adm.ok()) return span.Close(std::move(adm));
-  EOS_ASSIGN_OR_RETURN(LobDescriptor d, GetRootLocked(id));
   // Reorganize is content-neutral and unlogged: it streams the bytes into
   // fresh maximal segments, keeps the root LSN, and frees (crash-safe:
   // parks) the old tree, so a crash mid-migration recovers from the old
-  // root plus the unchanged WAL. No TouchLocked — a migration must not
-  // make its object look hot.
-  {
-    ScopedFreeCapture capture(allocator_.get(), options_.mvcc);
-    Status s = lob_->Reorganize(&d);
-    if (!s.ok()) return span.Close(std::move(s));
-    pending_retired_ = capture.TakeCaptured();
-  }
-  return span.Close(PutRootLocked(id, d));
+  // root plus the unchanged WAL. Not a user mutation — a migration must not
+  // make its object look hot — and refused if the object went hot since
+  // the unlatched scan that scored it.
+  return Mutate("db.defrag_migrate", &id,
+                {.headroom = std::max<uint32_t>(1, headroom_pages),
+                 .user = false,
+                 .cold_horizon = horizon},
+                [&](LobDescriptor* d) { return lob_->Reorganize(d); });
 }
 
 Status Database::ReleaseMigratedStorage() {
-  // Non-crash-safe frees already reached the buddy system inside
-  // Reorganize; there is nothing parked to drain.
-  if (deferred_frees_ == nullptr) return Status::OK();
+  // Without crash_safe the migration's frees reached the buddy system (or,
+  // under mvcc, version GC) when it published its root; nothing is parked
+  // until a checkpoint.
+  if (!options_.crash_safe) return Status::OK();
   DirLatchExclusiveGuard guard(dir_latch_);
   return CheckpointLocked();
 }

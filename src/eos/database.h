@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -44,10 +45,10 @@ struct DatabaseOptions {
   // Crash-safe configuration (Section 4.5 + DESIGN.md "Testing & fault
   // model"): the pager runs write-through so pages are durable before any
   // page referencing them is written, index nodes are shadowed, and every
-  // freed segment is parked until the next Checkpoint() so no page a
-  // durable root can reach is ever reused early. Costs extra writes;
-  // recovery via Recover() then restores exactly the committed state after
-  // a crash at any write boundary.
+  // freed segment is parked on the allocator's checkpoint list until the
+  // next Checkpoint() so no page a durable root can reach is ever reused
+  // early. Costs extra writes; recovery via Recover() then restores
+  // exactly the committed state after a crash at any write boundary.
   bool crash_safe = false;
 
   // Integrity layer (DESIGN.md "Integrity & degraded operation"): the
@@ -102,10 +103,10 @@ struct DatabaseOptions {
   // shared across their device reads instead). Implies index-node
   // shadowing and copy-on-write Replace so no page a pinned version
   // references is ever overwritten in place; superseded storage is
-  // reclaimed only once no pin holds it (through the CheckpointFreeList
-  // when combined with crash_safe). Mutations additionally group-commit
-  // their WAL markers (LogManager::LogCommitDurable) when a log is
-  // attached.
+  // reclaimed only once no pin holds it (and, combined with crash_safe,
+  // only at the Checkpoint() after that). Mutations additionally
+  // group-commit their WAL markers (LogManager::LogCommitDurable) when a
+  // log is attached.
   bool mvcc = false;
 
   // Hot-object DRAM cache tier (DESIGN.md §14): a non-zero byte budget
@@ -116,30 +117,6 @@ struct DatabaseOptions {
   // cached bytes can never be stale; superseded versions are invalidated as
   // version GC retires them (per-object generations without mvcc).
   size_t cache_bytes = 0;
-};
-
-// FreeInterceptor that parks every freed extent until the next
-// Checkpoint() drains it: in crash-safe mode nothing a durable root can
-// reach may be reused before a newer root is durable ([Lehm89] release
-// locks at volume scope).
-class CheckpointFreeList final : public FreeInterceptor {
- public:
-  bool InterceptFree(const Extent& e) override {
-    parked_.push_back(e);
-    return true;
-  }
-  std::vector<Extent> TakeAll() {
-    std::vector<Extent> out;
-    out.swap(parked_);
-    return out;
-  }
-  size_t parked() const { return parked_.size(); }
-  // Read-only view for the leak checker: parked extents are allocated but
-  // intentionally unreachable until the next checkpoint.
-  const std::vector<Extent>& parked_extents() const { return parked_; }
-
- private:
-  std::vector<Extent> parked_;
 };
 
 class Database;
@@ -374,8 +351,8 @@ class Database : private DefragHost {
   Status CheckIntegrity();
 
   // Read-only audit: walks every reachable extent (directory object, all
-  // object trees, checkpoint-parked frees) and compares the union against
-  // the buddy allocation maps, reporting leaked and doubly-referenced
+  // object trees, the allocator's checkpoint list) and compares the union
+  // against the buddy allocation maps, reporting leaked and doubly-referenced
   // storage. OK with an empty report on a healthy volume; Corruption if
   // anything leaks or overlaps.
   Status LeakCheck(LeakCheckReport* report);
@@ -456,8 +433,9 @@ class Database : private DefragHost {
   // ----- latch-free internals (caller holds dir_latch_) ---------------------
 
   StatusOr<uint64_t> CreateObjectLocked();
-  // Also reports the entry's cache tag (non-mvcc only) when `cache_tag` is
-  // non-null.
+  // Fills the root's runtime-only fields: object_id (which tags its log
+  // records) and threshold_hint. Also reports the entry's cache tag
+  // (non-mvcc only) when `cache_tag` is non-null.
   StatusOr<LobDescriptor> GetRootLocked(uint64_t id,
                                         uint64_t* cache_tag = nullptr);
   // Reads `root` of object `id` in a span named `span_name`, binding
@@ -467,7 +445,40 @@ class Database : private DefragHost {
   StatusOr<Bytes> ReadRoot(const char* span_name, uint64_t id,
                            const LobDescriptor& root, uint64_t cache_tag,
                            uint64_t offset, uint64_t n);
-  Status PutRootLocked(uint64_t id, const LobDescriptor& d);
+  // Makes `d` object `id`'s root (a null `d` removes the object) and saves
+  // the directory. `freed` is the storage only the replaced root reaches:
+  // under mvcc it stays allocated with the superseded version until no pin
+  // holds it; otherwise it goes to Free() before the directory save.
+  Status PublishRootLocked(uint64_t id, const LobDescriptor* d,
+                           std::vector<Extent> freed);
+
+  // How Mutate() admits one mutation and what it records besides the new
+  // root.
+  struct MutationPolicy {
+    // Pages AdmitMutation() must find free above the emergency reserve.
+    // 0: always admitted, and the op may draw on the reserve — deletes and
+    // drops net-free storage, and refusing them would wedge a full volume.
+    uint32_t headroom = 1;
+    // A user mutation touches the heat clock and writes its commit marker;
+    // a content-neutral relayout (Reorganize, defrag migration) does
+    // neither.
+    bool user = true;
+    // Removes the object after the op instead of publishing its new root.
+    bool drop = false;
+    // Busy if the object was mutated after this heat-clock value (a defrag
+    // migration scored it in an earlier, unlatched scan).
+    uint64_t cold_horizon = ~uint64_t{0};
+  };
+  using MutationOp = std::function<Status(LobDescriptor*)>;
+  // The one body of every object mutation. Under dir_latch_ exclusive it
+  // admits the mutation, runs `op` on the object's root inside the
+  // outermost SpaceReservation, publishes the new root with the frees the
+  // reservation hands back, and writes the commit marker; the marker's
+  // sync is waited for after the latch is released. `*id` names the
+  // object; 0 creates one first (CreateObjectLocked admits, touches and
+  // saves it) and returns its id there.
+  Status Mutate(const char* span_name, uint64_t* id,
+                const MutationPolicy& policy, const MutationOp& op);
   Status FlushLocked();
   Status CheckpointLocked();
   // Per-object leg of Scrub(); fans out across threads on a multi-member
@@ -507,18 +518,17 @@ class Database : private DefragHost {
   }
 
   // Rebuilds every chain from directory_ (open, recovery): one unpinned
-  // current version per object, at vseq 1. Clears gc staging and stale
-  // capture state.
+  // current version per object, at vseq 1. Clears gc staging.
   void SeedVersionChains();
   // Forgets every chain and all staged GC without freeing anything: the
   // storage they describe is about to be reclaimed by an allocation-map
   // rebuild (Recover, RepairObject), which has drained every pin first.
   void DropVersionChains();
   // Appends a new current version for `id` under dir_latch_ exclusive,
-  // attaching pending_retired_ to the superseded version, then stages
-  // whatever became collectable into gc_ready_.
+  // attaching `retired` (the mutation's frees) to the superseded version,
+  // then stages whatever became collectable into gc_ready_.
   void PublishVersion(uint64_t id, const Bytes& root, uint64_t lsn,
-                      bool dead);
+                      bool dead, std::vector<Extent> retired);
   // FIFO-drains the chain front (collectable = unpinned and superseded, or
   // an unpinned drop marker), staging retire batches into gc_ready_. When
   // the front advances, cached extents of the collected versions — which no
@@ -538,13 +548,13 @@ class Database : private DefragHost {
   // about to be dropped.
   Status PinCurrentVersion(uint64_t id, bool read_pin, Snapshot* pin);
   // May run on any thread, takes only the object's shard latch (and
-  // gc_latch_), never calls into the allocator (a writer may have a
-  // capturing interceptor installed) — collectable storage waits in
-  // gc_ready_ for the next exclusive-latched drain.
+  // gc_latch_), and frees nothing itself: collectable storage waits in
+  // gc_ready_ for the next drain under dir_latch_ exclusive, so frees stay
+  // serialized with the writers that allocate.
   void UnpinVersion(uint64_t id, uint64_t vseq, bool read_pin);
-  // Frees gc_ready_ through the normal allocator path (landing in the
-  // CheckpointFreeList in crash-safe mode). Caller holds dir_latch_
-  // exclusive with no capture scope installed. No chain is swept here:
+  // Frees gc_ready_ through SegmentAllocator::Free (which parks it until
+  // the next Checkpoint() in crash-safe mode). Caller holds dir_latch_
+  // exclusive and no SpaceReservation. No chain is swept here:
   // a chain only becomes collectable by a publish or a pin release, and
   // both collect the chain they changed.
   Status DrainVersionGcLocked();
@@ -582,7 +592,6 @@ class Database : private DefragHost {
   std::unique_ptr<SegmentAllocator> allocator_;
   std::unique_ptr<LobManager> lob_;
   std::unique_ptr<ExtentCache> cache_;  // options.cache_bytes > 0 only
-  std::unique_ptr<CheckpointFreeList> deferred_frees_;  // crash-safe only
   LogManager* log_ = nullptr;
 
   uint64_t next_object_id_ = 1;
@@ -622,12 +631,10 @@ class Database : private DefragHost {
   // only that shard, which is what keeps readers off the directory latch
   // and off each other. Whole-table walkers take the shards one at a time,
   // never two at once. gc_ready_ (storage staged for the next drain) is
-  // guarded by gc_latch_; pending_retired_ is a writer-side staging slot
-  // guarded by dir_latch_ exclusive alone.
+  // guarded by gc_latch_.
   std::array<VersionShard, kVersionShards> version_shards_;
   Latch gc_latch_;
   std::vector<Extent> gc_ready_;
-  std::vector<Extent> pending_retired_;
   // The pin gate: set and cleared only under dir_latch_ exclusive, by a
   // rebuild that is about to drop every chain (DrainPinsLocked). Pinners
   // read it under their shard latch; finding it set, they wait on

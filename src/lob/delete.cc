@@ -311,11 +311,8 @@ Status LobManager::DeleteImpl(LobDescriptor* d, uint64_t offset, uint64_t n) {
   if (start == 0 && end == d->size()) {
     // Object truncation at byte 0: equivalent to deleting the object;
     // no segment page is accessed (Section 4.3.2).
-    LogManager* log = log_;
-    log_ = nullptr;  // already logged above
-    Status s = Destroy(d);
-    log_ = log;
-    return s;
+    ScopedLogSuspend suspend(this);  // already logged above
+    return Destroy(d);
   }
 
   const uint32_t ps = page_size();

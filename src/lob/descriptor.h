@@ -29,6 +29,11 @@ struct LobDescriptor {
   // Runtime-only: the client re-supplies it at open; it is not serialized.
   uint32_t threshold_hint = 0;
 
+  // Id of the object this root belongs to, stamped into every log record
+  // an update of it emits (Section 4.5). Runtime-only like threshold_hint:
+  // the client that places the root supplies it; 0 for standalone use.
+  uint64_t object_id = 0;
+
   uint64_t size() const { return root.Total(); }
   bool empty() const { return root.entries.empty(); }
 

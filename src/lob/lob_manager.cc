@@ -330,7 +330,7 @@ Status LobManager::RunGuarded(LobDescriptor* d, const char* what,
   LobDescriptor before;
   if (d != nullptr) before = *d;
   Status s = body();
-  if (s.ok()) return res.Commit();
+  if (s.ok()) return allocator()->FreeAll(res.Commit());
   // Unwind happens in ~SpaceReservation; put the descriptor back so the
   // caller's handle matches the restored on-disk state.
   if (d != nullptr) *d = before;
@@ -607,11 +607,10 @@ Status LobManager::ReorganizeImpl(LobDescriptor* d) {
   if (fresh.size() != d->size()) {
     return Status::Corruption("reorganize produced a different size");
   }
-  LogManager* log = log_;
-  log_ = nullptr;  // content-neutral: nothing to log
-  Status st = Destroy(d);
-  log_ = log;
-  EOS_RETURN_IF_ERROR(st);
+  {
+    ScopedLogSuspend suspend(this);  // content-neutral: nothing to log
+    EOS_RETURN_IF_ERROR(Destroy(d));
+  }
   *d = std::move(fresh);
   return Status::OK();
 }

@@ -225,6 +225,26 @@ class LobManager {
   LogManager* log_manager() const { return log_; }
   void set_shadowing(bool on) { store_.set_shadowing(on); }
 
+  // Detaches the log manager for the scope's lifetime. Work that is not a
+  // logical update of its own — directory maintenance, salvage rewrites,
+  // recovery replay, the inner steps of an already-logged op — must not
+  // append to the log.
+  class ScopedLogSuspend {
+   public:
+    explicit ScopedLogSuspend(LobManager* mgr)
+        : mgr_(mgr), saved_(mgr->log_manager()) {
+      mgr_->set_log_manager(nullptr);
+    }
+    ~ScopedLogSuspend() { mgr_->set_log_manager(saved_); }
+
+    ScopedLogSuspend(const ScopedLogSuspend&) = delete;
+    ScopedLogSuspend& operator=(const ScopedLogSuspend&) = delete;
+
+   private:
+    LobManager* mgr_;
+    LogManager* saved_;
+  };
+
   // Copy-on-write Replace (MVCC mode, DESIGN.md §13). Replace is the one
   // operation that normally overwrites leaf pages in place; with CoW on,
   // every affected segment is instead rewritten into a fresh extent and
@@ -254,9 +274,11 @@ class LobManager {
 
   // Runs `body` under a SpaceReservation so a mid-operation failure —
   // injected NoSpace, I/O error, expired deadline — unwinds every page the
-  // operation touched and restores *d to its pre-op value. Nested calls
-  // (Insert delegating to Append, Write composing Replace+Append) are
-  // pass-throughs: the outermost guard owns the unwind. `d` may be null
+  // operation touched and restores *d to its pre-op value. On success the
+  // extents the body freed go to SegmentAllocator::FreeAll(). Nested calls
+  // (Insert delegating to Append, Write composing Replace+Append, any op
+  // under a Database mutation's reservation) are pass-throughs: the
+  // outermost scope owns the unwind and the frees. `d` may be null
   // (CreateFrom has no prior descriptor to restore).
   Status RunGuarded(LobDescriptor* d, const char* what,
                     const std::function<Status()>& body);

@@ -71,19 +71,8 @@ StatusOr<std::vector<LogRecord>> LogManager::ReadLogFile(
   return records;
 }
 
-Status LogManager::Emit(LobDescriptor* d, LogRecord&& r) {
+Status LogManager::Emit(LobDescriptor* d, LogRecord&& r, uint64_t* lsn_out) {
   LatchGuard g(latch_);
-  r.object_id = current_object_;
-  return EmitLocked(d, std::move(r), nullptr);
-}
-
-Status LogManager::EmitTagged(LogRecord&& r, uint64_t* lsn_out) {
-  LatchGuard g(latch_);
-  return EmitLocked(nullptr, std::move(r), lsn_out);
-}
-
-Status LogManager::EmitLocked(LobDescriptor* d, LogRecord&& r,
-                              uint64_t* lsn_out) {
   r.lsn = next_lsn_++;
   if (lsn_out != nullptr) *lsn_out = r.lsn;
   // Write-ahead: the record is durable (appended) before the update is
@@ -121,6 +110,7 @@ Status LogManager::LogInsert(LobDescriptor* d, uint64_t offset,
                              ByteView data) {
   LogRecord r;
   r.op = LogOp::kInsert;
+  r.object_id = d->object_id;
   r.offset = offset;
   r.data = ToBytes(data);
   return Emit(d, std::move(r));
@@ -130,6 +120,7 @@ Status LogManager::LogDelete(LobDescriptor* d, uint64_t offset,
                              ByteView old_data) {
   LogRecord r;
   r.op = LogOp::kDelete;
+  r.object_id = d->object_id;
   r.offset = offset;
   r.old_data = ToBytes(old_data);
   return Emit(d, std::move(r));
@@ -138,6 +129,7 @@ Status LogManager::LogDelete(LobDescriptor* d, uint64_t offset,
 Status LogManager::LogAppend(LobDescriptor* d, ByteView data) {
   LogRecord r;
   r.op = LogOp::kAppend;
+  r.object_id = d->object_id;
   r.offset = d->size();
   r.data = ToBytes(data);
   return Emit(d, std::move(r));
@@ -147,6 +139,7 @@ Status LogManager::LogReplace(LobDescriptor* d, uint64_t offset,
                               ByteView old_data, ByteView new_data) {
   LogRecord r;
   r.op = LogOp::kReplace;
+  r.object_id = d->object_id;
   r.offset = offset;
   r.data = ToBytes(new_data);
   r.old_data = ToBytes(old_data);
@@ -156,16 +149,14 @@ Status LogManager::LogReplace(LobDescriptor* d, uint64_t offset,
 Status LogManager::LogDestroy(LobDescriptor* d, ByteView old_data) {
   LogRecord r;
   r.op = LogOp::kDestroy;
+  r.object_id = d->object_id;
   r.offset = 0;
   r.old_data = ToBytes(old_data);
   return Emit(d, std::move(r));
 }
 
 Status LogManager::LogCommit(uint64_t object_id) {
-  set_current_object(object_id);
-  LogRecord r;
-  r.op = LogOp::kCommit;
-  return Emit(nullptr, std::move(r));
+  return LogCommitMarker(object_id, nullptr);
 }
 
 Status LogManager::LogCommitDurable(uint64_t object_id) {
@@ -178,7 +169,7 @@ Status LogManager::LogCommitMarker(uint64_t object_id, uint64_t* lsn_out) {
   LogRecord r;
   r.op = LogOp::kCommit;
   r.object_id = object_id;
-  return EmitTagged(std::move(r), lsn_out);
+  return Emit(nullptr, std::move(r), lsn_out);
 }
 
 Status LogManager::SyncToLsn(uint64_t lsn) {

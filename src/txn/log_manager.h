@@ -49,6 +49,8 @@ class LogManager {
   LogManager(const LogManager&) = delete;
   LogManager& operator=(const LogManager&) = delete;
 
+  // Update records: each is tagged with d->object_id and stamps its LSN
+  // into *d.
   Status LogInsert(LobDescriptor* d, uint64_t offset, ByteView data);
   Status LogDelete(LobDescriptor* d, uint64_t offset, ByteView old_data);
   Status LogAppend(LobDescriptor* d, ByteView data);
@@ -69,8 +71,6 @@ class LogManager {
   // includes their marker. Batch sizes are recorded in
   // txn.group_commit_batch. An in-memory log (no backing file) is durable
   // at append, so the call degenerates to LogCommit plus metric upkeep.
-  // Unlike the rest of the API this does not route the object id through
-  // set_current_object, so concurrent committers need no external latch.
   Status LogCommitDurable(uint64_t object_id);
 
   // The two halves of LogCommitDurable, for callers that must emit the
@@ -89,23 +89,16 @@ class LogManager {
   const std::vector<LogRecord>& records() const { return records_; }
   uint64_t last_lsn() const { return next_lsn_ - 1; }
 
-  // Object identity used for subsequent records (set by the Database layer
-  // before operating on an object; 0 for standalone use).
-  void set_current_object(uint64_t id) { current_object_ = id; }
-
  private:
   explicit LogManager(int fd) : fd_(fd) {}
 
-  Status Emit(LobDescriptor* d, LogRecord&& r);
-  // Emit that keeps the record's pre-set object_id (thread-safe commit
-  // path) and reports the assigned LSN.
-  Status EmitTagged(LogRecord&& r, uint64_t* lsn_out);
-  Status EmitLocked(LobDescriptor* d, LogRecord&& r, uint64_t* lsn_out);
+  // Appends `r` with the next LSN, reporting it through `lsn_out` (may be
+  // null) and, for an update record, stamping it into *d (may be null).
+  Status Emit(LobDescriptor* d, LogRecord&& r, uint64_t* lsn_out = nullptr);
 
   Latch latch_;
   std::vector<LogRecord> records_;
   uint64_t next_lsn_ = 1;
-  uint64_t current_object_ = 0;
   int fd_ = -1;
 
   // Group-commit state: guarded by commit_mu_, separate from latch_ so a

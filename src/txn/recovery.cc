@@ -20,21 +20,6 @@ obs::Counter* UndoCounter() {
   return c;
 }
 
-// Recovery replays operations through the normal update paths; logging must
-// be suspended while it does, or replay would append to the log again.
-class ScopedLogSuspend {
- public:
-  explicit ScopedLogSuspend(LobManager* mgr)
-      : mgr_(mgr), saved_(mgr->log_manager()) {
-    mgr_->set_log_manager(nullptr);
-  }
-  ~ScopedLogSuspend() { mgr_->set_log_manager(saved_); }
-
- private:
-  LobManager* mgr_;
-  LogManager* saved_;
-};
-
 }  // namespace
 
 Status Recovery::ApplyForward(LobDescriptor* d, const LogRecord& r) {
@@ -79,7 +64,7 @@ Status Recovery::ApplyBackward(LobDescriptor* d, const LogRecord& r) {
 
 Status Recovery::Redo(LobDescriptor* d, uint64_t object_id,
                       const std::vector<LogRecord>& log, uint64_t up_to_lsn) {
-  ScopedLogSuspend suspend(mgr_);
+  LobManager::ScopedLogSuspend suspend(mgr_);
   for (const LogRecord& r : log) {
     if (r.object_id != object_id) continue;
     if (r.lsn > up_to_lsn) break;
@@ -94,7 +79,7 @@ Status Recovery::Redo(LobDescriptor* d, uint64_t object_id,
 
 Status Recovery::Undo(LobDescriptor* d, uint64_t object_id,
                       const std::vector<LogRecord>& log, uint64_t stop_lsn) {
-  ScopedLogSuspend suspend(mgr_);
+  LobManager::ScopedLogSuspend suspend(mgr_);
   for (auto it = log.rbegin(); it != log.rend(); ++it) {
     const LogRecord& r = *it;
     if (r.object_id != object_id || r.op == LogOp::kCommit) continue;
@@ -146,7 +131,7 @@ Status Recovery::RecoverObject(LobDescriptor* d, uint64_t object_id,
   }
 
   // Remove in-flight effects, newest first.
-  ScopedLogSuspend suspend(mgr_);
+  LobManager::ScopedLogSuspend suspend(mgr_);
   for (auto it = tail.rbegin(); it != tail.rend(); ++it) {
     const LogRecord& r = *it->r;
     if (r.op == LogOp::kReplace) {

@@ -22,21 +22,55 @@ DatabaseOptions Opts() {
   return o;
 }
 
+// Every record a mutation emits, its commit marker included, is tagged
+// with that mutation's object — also when mutations of two objects
+// interleave. Under mvcc each mutation adds exactly one record plus its
+// commit marker; without mvcc just the record.
 TEST(DatabaseLogTest, RecordsCarryObjectIds) {
-  auto db = Database::CreateInMemory(Opts());
-  ASSERT_TRUE(db.ok());
-  LogManager log;
-  (*db)->AttachLog(&log);
-  auto a = (*db)->CreateObject();
-  auto b = (*db)->CreateObject();
-  ASSERT_TRUE(a.ok() && b.ok());
-  EOS_ASSERT_OK((*db)->Append(*a, PatternBytes(1, 100)));
-  EOS_ASSERT_OK((*db)->Append(*b, PatternBytes(2, 200)));
-  EOS_ASSERT_OK((*db)->Insert(*a, 50, PatternBytes(3, 10)));
-  ASSERT_EQ(log.records().size(), 3u);
-  EXPECT_EQ(log.records()[0].object_id, *a);
-  EXPECT_EQ(log.records()[1].object_id, *b);
-  EXPECT_EQ(log.records()[2].object_id, *a);
+  for (bool mvcc : {false, true}) {
+    SCOPED_TRACE(mvcc ? "mvcc" : "no mvcc");
+    DatabaseOptions o = Opts();
+    o.mvcc = mvcc;
+    auto db = Database::CreateInMemory(o);
+    ASSERT_TRUE(db.ok());
+    LogManager log;
+    (*db)->AttachLog(&log);
+    const size_t per_op = mvcc ? 2 : 1;
+    size_t seen = 0;
+    auto expect_tagged = [&](uint64_t id, const char* op) {
+      SCOPED_TRACE(op);
+      EXPECT_EQ(log.records().size() - seen, per_op);
+      for (; seen < log.records().size(); ++seen) {
+        EXPECT_EQ(log.records()[seen].object_id, id) << "record " << seen;
+      }
+    };
+    auto a = (*db)->CreateObjectFrom(PatternBytes(1, 100));
+    ASSERT_TRUE(a.ok());
+    expect_tagged(*a, "CreateObjectFrom a");
+    auto b = (*db)->CreateObjectFrom(PatternBytes(2, 200));
+    ASSERT_TRUE(b.ok());
+    expect_tagged(*b, "CreateObjectFrom b");
+    EOS_ASSERT_OK((*db)->Append(*a, PatternBytes(3, 100)));
+    expect_tagged(*a, "Append a");
+    EOS_ASSERT_OK((*db)->Insert(*b, 50, PatternBytes(4, 10)));
+    expect_tagged(*b, "Insert b");
+    EOS_ASSERT_OK((*db)->Delete(*a, 10, 20));
+    expect_tagged(*a, "Delete a");
+    EOS_ASSERT_OK((*db)->Replace(*b, 0, PatternBytes(5, 30)));
+    expect_tagged(*b, "Replace b");
+    EOS_ASSERT_OK((*db)->Insert(*a, 5, PatternBytes(6, 40)));
+    expect_tagged(*a, "Insert a");
+    EOS_ASSERT_OK((*db)->Delete(*b, 100, 50));
+    expect_tagged(*b, "Delete b");
+    EOS_ASSERT_OK((*db)->Replace(*a, 0, PatternBytes(7, 60)));
+    expect_tagged(*a, "Replace a");
+    EOS_ASSERT_OK((*db)->Append(*b, PatternBytes(8, 70)));
+    expect_tagged(*b, "Append b");
+    EOS_ASSERT_OK((*db)->DropObject(*b));
+    expect_tagged(*b, "DropObject b");
+    EOS_ASSERT_OK((*db)->DropObject(*a));
+    expect_tagged(*a, "DropObject a");
+  }
 }
 
 TEST(DatabaseLogTest, RedoAfterSimulatedCrash) {

@@ -1,5 +1,5 @@
 // Section 4.5 machinery: logical logging, idempotent redo/undo via the
-// root LSN, index-page shadowing, and hierarchical release locks.
+// root LSN, and index-page shadowing.
 
 #include <gtest/gtest.h>
 
@@ -9,7 +9,6 @@
 #include "tests/test_util.h"
 #include "txn/log_manager.h"
 #include "txn/recovery.h"
-#include "txn/release_locks.h"
 
 namespace eos {
 namespace {
@@ -199,59 +198,6 @@ TEST(ShadowingTest, IndexPagesAreNeverOverwritten) {
   EXPECT_EQ(*free_pages, uint64_t{s.allocator->num_spaces()} *
                              s.allocator->geometry().space_pages)
       << "shadowing leaked index pages";
-}
-
-TEST(ReleaseLockTest, LocksAndHierarchy) {
-  ReleaseLockTable table(/*space_pages=*/64, /*max_type=*/6);
-  table.LockForRelease(1, Extent{8, 4});
-  EXPECT_TRUE(table.IsReleaseLocked(8));
-  EXPECT_TRUE(table.IsReleaseLocked(11));  // descendant pages count
-  EXPECT_FALSE(table.IsReleaseLocked(12));
-  // Intention locks on every buddy ancestor of the freed segment.
-  EXPECT_TRUE(table.HasIntentionLock(8, 3));   // [8,16)
-  EXPECT_TRUE(table.HasIntentionLock(0, 4));   // [0,16)
-  EXPECT_TRUE(table.HasIntentionLock(0, 6));   // [0,64)
-  EXPECT_FALSE(table.HasIntentionLock(16, 3));
-
-  auto released = table.Commit(1);
-  ASSERT_EQ(released.size(), 1u);
-  EXPECT_EQ(released[0], (Extent{8, 4}));
-  EXPECT_FALSE(table.IsReleaseLocked(8));
-  EXPECT_FALSE(table.HasIntentionLock(0, 4));
-}
-
-TEST(ReleaseLockTest, DeferredFreeSemantics) {
-  Stack s = Stack::Make(128, 64);
-  ReleaseLockTable table(64, s.allocator->geometry().max_type);
-  auto e = s.allocator->Allocate(8);
-  ASSERT_TRUE(e.ok());
-  // The transaction "frees" the segment: buddy state untouched until
-  // commit, so the space is not reusable yet.
-  table.LockForRelease(42, *e);
-  auto mid = s.allocator->TotalFreePages();
-  ASSERT_TRUE(mid.ok());
-  EXPECT_EQ(*mid, 64u - 8u);
-  for (const Extent& ext : table.Commit(42)) {
-    EOS_ASSERT_OK(s.allocator->Free(ext));
-  }
-  auto after = s.allocator->TotalFreePages();
-  ASSERT_TRUE(after.ok());
-  EXPECT_EQ(*after, 64u);
-}
-
-TEST(ReleaseLockTest, AbortKeepsSegmentsAllocated) {
-  Stack s = Stack::Make(128, 64);
-  ReleaseLockTable table(64, s.allocator->geometry().max_type);
-  auto e = s.allocator->Allocate(4);
-  ASSERT_TRUE(e.ok());
-  table.LockForRelease(7, *e);
-  table.Abort(7);  // the free is undone
-  EXPECT_EQ(table.lock_count(), 0u);
-  auto free_pages = s.allocator->TotalFreePages();
-  ASSERT_TRUE(free_pages.ok());
-  EXPECT_EQ(*free_pages, 60u);
-  // The segment is still owned and can be freed normally later.
-  EOS_ASSERT_OK(s.allocator->Free(*e));
 }
 
 }  // namespace

@@ -3,17 +3,10 @@
 # the committed aging-curve gate, plus four build tiers:
 #
 #   0. tools/check_metric_names.py — metric_names.h <-> instrumentation
-#      <-> DESIGN.md table consistency — and the BENCH_7.json aging gate
-#      (DESIGN.md §12): the committed bench_aging curve must show churn
-#      provoking >= 1.5x read-cost drift with the defragmenter off,
-#      recovery to <= 1.25x the §4 cost model with it on (the PR-6
-#      fresh-volume bar), and foreground read p99 within 20% of the
-#      defrag-off run (no build needed); plus the BENCH_9.json cache gate
-#      (DESIGN.md §14): hot-set speedup >= 3x with the extent cache on,
-#      hit rate >= 80% at Zipf(0.99), cold-set regression <= 10%, p99
-#      flat; plus the BENCH_10.json volume gate (DESIGN.md §15):
-#      parallel per-volume scrub >= 1.3x serial and degraded-mode reads
-#      (1 of 3 members offline) >= 0.5x healthy throughput;
+#      <-> DESIGN.md table consistency — and tools/bench_gate.py, whose
+#      table checks the committed BENCH_7.json aging curve (DESIGN.md
+#      §12), BENCH_9.json cache run (§14) and BENCH_10.json volume run
+#      (§15) against their thresholds (no build needed);
 #   1. fast + sanitizer-, obs-, mvcc-, cache- and volume-labelled tests
 #      under ASan/UBSan (the `asan` preset);
 #   2. the `tsan`-, obs-, mvcc-, cache- and volume-labelled concurrency suites
@@ -122,135 +115,8 @@ fi
 echo "== [0/4] metric-name lint =="
 python3 tools/check_metric_names.py
 
-echo "== [0/4] aging-curve gate (committed BENCH_7.json, DESIGN.md §12) =="
-python3 - BENCH_7.json <<'PY'
-import json, sys
-
-vals = {}
-with open(sys.argv[1]) as f:
-    for line in f:
-        line = line.strip()
-        if not line:
-            continue
-        rec = json.loads(line)
-        if "metric" in rec:
-            vals[rec["metric"]] = rec["value"]
-
-def need(metric):
-    if metric not in vals:
-        print(f"aging gate: BENCH_7.json is missing '{metric}'")
-        sys.exit(1)
-    return vals[metric]
-
-failures = []
-drift_off = need("drift_off_final")
-drift_on = need("drift_on_final")
-migrated = need("objects_migrated")
-p99_ratio = need("read_p99_ratio")
-if drift_off < 1.5:
-    failures.append(f"churn no longer provokes aging: drift_off_final "
-                    f"{drift_off:.3f} < 1.5x")
-if drift_on > 1.25:
-    failures.append(f"post-defrag read cost above the cost model bar: "
-                    f"drift_on_final {drift_on:.3f} > 1.25x")
-if migrated <= 0:
-    failures.append("the defragmenter migrated nothing")
-if p99_ratio > 1.2:
-    failures.append(f"foreground read p99 with defrag on is "
-                    f"{p99_ratio:.2f}x the defrag-off run (> 1.2x)")
-if failures:
-    for f in failures:
-        print(f"aging gate: {f}")
-    sys.exit(1)
-print(f"aging gate: drift {need('drift_off_first'):.2f}x -> "
-      f"{drift_off:.2f}x (defrag off), recovered to {drift_on:.2f}x "
-      f"(defrag on, {int(migrated)} migrations, p99 {p99_ratio:.2f}x)")
-PY
-
-echo "== [0/4] cache gate (committed BENCH_9.json, DESIGN.md §14) =="
-python3 - BENCH_9.json <<'PY'
-import json, sys
-
-vals = {}
-with open(sys.argv[1]) as f:
-    for line in f:
-        line = line.strip()
-        if not line:
-            continue
-        rec = json.loads(line)
-        if "metric" in rec:
-            vals[rec["metric"]] = rec["value"]
-
-def need(metric):
-    if metric not in vals:
-        print(f"cache gate: BENCH_9.json is missing '{metric}'")
-        sys.exit(1)
-    return vals[metric]
-
-failures = []
-speedup = need("zipf_hot_speedup")
-hit_rate = need("zipf_hit_rate")
-cold_ratio = need("zipf_cold_ratio")
-p99_ratio = need("zipf_hot_p99_ratio")
-if speedup < 3.0:
-    failures.append(f"hot-set speedup with the cache on is only "
-                    f"{speedup:.2f}x (< 3x)")
-if hit_rate < 80.0:
-    failures.append(f"hot-phase hit rate {hit_rate:.1f}% < 80% at "
-                    f"Zipf(0.99)")
-if cold_ratio < 0.9:
-    failures.append(f"uniform cold-set throughput with the cache on is "
-                    f"{cold_ratio:.2f}x cache-off (> 10% regression)")
-if p99_ratio > 1.2:
-    failures.append(f"hot-phase foreground p99 with the cache on is "
-                    f"{p99_ratio:.2f}x cache-off (> 1.2x)")
-if failures:
-    for f in failures:
-        print(f"cache gate: {f}")
-    sys.exit(1)
-print(f"cache gate: hot {speedup:.2f}x (hit {hit_rate:.1f}%), cold "
-      f"{cold_ratio:.2f}x, p99 {p99_ratio:.2f}x")
-PY
-
-echo "== [0/4] volume gate (committed BENCH_10.json, DESIGN.md §15) =="
-python3 - BENCH_10.json <<'PY'
-import json, sys
-
-vals = {}
-with open(sys.argv[1]) as f:
-    for line in f:
-        line = line.strip()
-        if not line:
-            continue
-        rec = json.loads(line)
-        if "metric" in rec:
-            vals[rec["metric"]] = rec["value"]
-
-def need(metric):
-    if metric not in vals:
-        print(f"volume gate: BENCH_10.json is missing '{metric}'")
-        sys.exit(1)
-    return vals[metric]
-
-failures = []
-speedup = need("scrub_parallel_speedup")
-ratio = need("degraded_read_ratio")
-failovers = need("failover_reads")
-if speedup < 1.3:
-    failures.append(f"parallel per-volume scrub is only {speedup:.2f}x "
-                    f"serial (< 1.3x) on an IO-bound 3-member set")
-if ratio < 0.5:
-    failures.append(f"degraded-mode read throughput (1 of 3 members "
-                    f"offline) is {ratio:.2f}x healthy (> 50% collapse)")
-if failovers <= 0:
-    failures.append("the degraded pass never failed over to a replica")
-if failures:
-    for f in failures:
-        print(f"volume gate: {f}")
-    sys.exit(1)
-print(f"volume gate: scrub {speedup:.2f}x parallel, degraded reads "
-      f"{ratio:.2f}x healthy ({int(failovers)} failovers)")
-PY
+echo "== [0/4] committed bench gates (BENCH_7/9/10.json) =="
+python3 tools/bench_gate.py
 
 POSTMORTEM_DIR="$PWD/build/postmortems"
 mkdir -p "$POSTMORTEM_DIR"
