@@ -49,7 +49,8 @@ struct Stack {
   std::unique_ptr<SegmentAllocator> allocator;
   std::unique_ptr<LobManager> lob;
 
-  explicit Stack(uint32_t page_size, uint64_t seed = 0) {
+  explicit Stack(uint32_t page_size, uint64_t seed = 0,
+                 const LobConfig& config = LobConfig{}) {
     auto geo = BuddyGeometry::Make(page_size);
     EXPECT_TRUE(geo.ok());
     device = std::make_unique<ChaosPageDevice>(
@@ -60,8 +61,7 @@ struct Stack {
     auto a = SegmentAllocator::Format(pager.get(), *geo, 1, opt);
     EXPECT_TRUE(a.ok());
     allocator = std::move(a).value();
-    lob = std::make_unique<LobManager>(pager.get(), allocator.get(),
-                                       LobConfig{});
+    lob = std::make_unique<LobManager>(pager.get(), allocator.get(), config);
   }
 
   uint64_t FreePages() {
@@ -70,6 +70,18 @@ struct Stack {
     return n.ok() ? *n : 0;
   }
 };
+
+// The config both enumeration tests replay their script under. Ops must
+// allocate more than once, or an unwind that mishandles every allocation
+// after the first goes unseen: 2-page segments make appends take several,
+// and a 3-entry root makes the spine allocate index nodes (FitRoot and
+// node splits).
+LobConfig MultiAllocConfig() {
+  LobConfig c;
+  c.max_segment_pages = 2;
+  c.max_root_bytes = 8 + 3 * 16 + 8;
+  return c;
+}
 
 // The scripted mixed workload both enumeration tests replay: concrete
 // coordinates drawn once from `seed`, so every injection run sees the
@@ -93,7 +105,7 @@ std::vector<LobOp> ScriptWorkload(uint64_t seed, uint32_t page_size,
 // one-shot, so the retry must then succeed. Returns via gtest assertions.
 void ReplayWithInjection(const std::vector<LobOp>& script, uint32_t page_size,
                          int64_t fault_at, uint64_t* allocs_used) {
-  Stack s(page_size);
+  Stack s(page_size, 0, MultiAllocConfig());
   uint64_t baseline = s.FreePages();
   ModelLob model;
   LobDescriptor d = s.lob->CreateEmpty();
@@ -167,7 +179,7 @@ TEST(ExhaustionTortureTest, RandomizedInjectionSoak) {
   const uint64_t seed = TestSeed(0xBADA110C);
   std::mt19937 rng(static_cast<uint32_t>(seed) ^ 0x5eed);
   std::vector<LobOp> script = ScriptWorkload(seed, kPageSize, 40);
-  Stack s(kPageSize);
+  Stack s(kPageSize, 0, MultiAllocConfig());
   uint64_t baseline = s.FreePages();
   ModelLob model;
   LobDescriptor d = s.lob->CreateEmpty();

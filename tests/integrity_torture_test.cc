@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -303,6 +304,82 @@ TEST(IntegrityTortureTest, ScrubFindsExactlyTheRotAndRepairZeroFillsIt) {
   auto data2 = (*reopened)->Read(*id, 0, content.size());
   ASSERT_TRUE(data2.ok()) << data2.status().ToString();
   EXPECT_EQ(*data2, expect);
+}
+
+// An unreadable index node takes its whole subtree's byte range with it:
+// scrub names the node, and salvage turns exactly that range (the parent
+// entry says where and how long it is) into one zero-filled hole.
+TEST(IntegrityTortureTest, SalvageThroughUnreadableIndexNodeLosesOneRange) {
+  auto chaos_owner = std::make_unique<ChaosPageDevice>(
+      std::make_unique<MemPageDevice>(kPhysPageSize, 1), 66);
+  ChaosPageDevice* chaos = chaos_owner.get();
+  DatabaseOptions opts = TortureOpts();
+  opts.lob.max_root_bytes = 8 + 3 * 16 + 8;  // a 3-entry root
+  auto db = Database::CreateOnDevice(std::move(chaos_owner), opts);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+
+  Bytes content = PatternBytes(41, 40000);
+  auto id = (*db)->CreateObjectFrom(content);
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  EOS_ASSERT_OK((*db)->Flush());
+  auto root = (*db)->GetRoot(*id);
+  ASSERT_TRUE(root.ok());
+  ASSERT_GE(root->root.level, 2u) << "the victim must be an index node";
+
+  // In tree order, the first index node with at least two entries; the
+  // victim is its second child, itself an index node.
+  NodeStore* store = (*db)->lob()->node_store();
+  PageId victim = kInvalidPage;
+  HoleRange lost;
+  std::function<void(const LobEntry&, uint64_t)> find =
+      [&](const LobEntry& e, uint64_t offset) {
+        if (victim != kInvalidPage) return;
+        auto node = store->Load(e.page);
+        ASSERT_TRUE(node.ok()) << node.status().ToString();
+        if (node->entries.size() >= 2) {
+          ASSERT_GE(node->level, 1u);
+          victim = node->entries[1].page;
+          lost = HoleRange{offset + node->entries[0].count,
+                           node->entries[1].count};
+          return;
+        }
+        if (node->level > 0) find(node->entries[0], offset);
+      };
+  uint64_t offset = 0;
+  for (const LobEntry& e : root->root.entries) {
+    find(e, offset);
+    offset += e.count;
+  }
+  ASSERT_NE(victim, kInvalidPage);
+  EOS_ASSERT_OK(chaos->CorruptPage(victim, 3));
+
+  ScrubReport report;
+  EOS_ASSERT_OK((*db)->Scrub(&report));
+  ASSERT_EQ(report.issues.size(), 1u);
+  EXPECT_EQ(report.issues[0].object_id, *id);
+  EXPECT_EQ(report.issues[0].page, victim);
+  EXPECT_EQ(report.issues[0].role, PageRole::kIndexNode);
+
+  EOS_ASSERT_OK((*db)->RepairObject(*id));
+  std::vector<HoleRange> holes = (*db)->GetHoles(*id);
+  ASSERT_EQ(holes.size(), 1u);
+  EXPECT_EQ(holes[0].offset, lost.offset);
+  EXPECT_EQ(holes[0].length, lost.length);
+  Bytes expect = content;
+  std::fill(expect.begin() + lost.offset,
+            expect.begin() + lost.offset + lost.length, uint8_t{0});
+  auto data = (*db)->Read(*id, 0, content.size());
+  ASSERT_TRUE(data.ok()) << data.status().ToString();
+  EXPECT_EQ(*data, expect);
+
+  EOS_ASSERT_OK((*db)->CheckIntegrity());
+  ScrubReport again;
+  EOS_ASSERT_OK((*db)->Scrub(&again));
+  EXPECT_TRUE(again.clean()) << again.issues.size() << " issues remain";
+  LeakCheckReport leaks;
+  EOS_ASSERT_OK((*db)->LeakCheck(&leaks));
+  EXPECT_TRUE(leaks.leaked.empty());
+  EXPECT_TRUE(leaks.doubly_referenced.empty());
 }
 
 TEST(IntegrityTortureTest, TransientFaultsAreInvisibleToCorrectness) {

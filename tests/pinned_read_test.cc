@@ -204,19 +204,26 @@ TEST(PinnedReadTest, ReadRacingWritersReturnsOneCommittedVersion) {
       }
     });
   }
+  // Each reader keeps reading until it has done its reads and the writers
+  // have published enough versions to race against; the cap bounds a run
+  // whose writers never get going.
+  constexpr size_t kMinVersions = 10;
+  const Clock::time_point cap = Clock::now() + std::chrono::seconds(60);
   std::atomic<uint64_t> reads{0};
   for (int r = 0; r < kReaders; ++r) {
     threads.emplace_back([&] {
-      for (int k = 0; k < kReadsPerReader && !failed.load(); ++k) {
+      for (int k = 1; !failed.load(); ++k) {
         auto got = dbp->Read(*id, 0, 1u << 20);
         if (!got.ok()) {
           fail("read: " + got.status().ToString());
           return;
         }
         bool known = false;
+        size_t published = 0;
         {
           std::lock_guard<std::mutex> vg(versions_mu);
           known = versions.count(AsString(*got)) > 0;
+          published = versions.size();
         }
         if (!known) {
           fail("a read of " + std::to_string(got->size()) +
@@ -224,14 +231,20 @@ TEST(PinnedReadTest, ReadRacingWritersReturnsOneCommittedVersion) {
           return;
         }
         reads.fetch_add(1);
+        if (k >= kReadsPerReader && published > kMinVersions) break;
+        if (Clock::now() > cap) {
+          fail("the writers barely ran: " + std::to_string(published) +
+               " versions after " + std::to_string(k) + " reads");
+          return;
+        }
       }
       readers_left.fetch_sub(1);
     });
   }
   for (std::thread& t : threads) t.join();
   ASSERT_FALSE(failed.load()) << errors;
-  EXPECT_EQ(reads.load(), uint64_t{kReaders} * kReadsPerReader);
-  EXPECT_GT(versions.size(), 10u) << "the writers barely ran";
+  EXPECT_GE(reads.load(), uint64_t{kReaders} * kReadsPerReader);
+  EXPECT_GT(versions.size(), kMinVersions) << "the writers barely ran";
   auto got = dbp->Read(*id, 0, current.size() + 1);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_EQ(AsString(*got), current);
