@@ -11,13 +11,9 @@ namespace eos {
 ExodusManager::ExodusManager(Pager* pager, SegmentAllocator* allocator,
                              const ExodusConfig& config)
     : config_(config),
-      store_(pager, allocator, allocator->geometry().page_size) {
+      store_(pager, allocator, allocator->geometry().page_size,
+             config.max_root_bytes) {
   if (config_.leaf_pages == 0) config_.leaf_pages = 1;
-  uint32_t root_bytes =
-      config.max_root_bytes == 0 ? page_size() : config.max_root_bytes;
-  root_capacity_ = std::max<uint32_t>(
-      2, std::min(LobDescriptor::MaxEntriesFor(root_bytes),
-                  NodeFormat::Capacity(page_size())));
 }
 
 // ----- leaf I/O --------------------------------------------------------------
@@ -78,148 +74,12 @@ StatusOr<std::vector<LobEntry>> ExodusManager::WriteLeaves(
   return out;
 }
 
-// ----- tree plumbing (mirrors the EOS spine logic) ---------------------------
-
-Status ExodusManager::DescendToLeaf(const LobDescriptor& d, uint64_t offset,
-                                    std::vector<PathLevel>* path,
-                                    LobEntry* leaf, uint64_t* local) const {
-  if (offset >= d.size()) {
-    return Status::OutOfRange("offset beyond object size");
-  }
-  path->clear();
-  PathLevel level;
-  level.page = kInvalidPage;
-  level.node = d.root;
-  uint64_t off = offset;
-  for (;;) {
-    level.child_idx = level.node.FindChild(&off);
-    const LobEntry& e = level.node.entries[level.child_idx];
-    uint16_t child_level = level.node.level;
-    path->push_back(level);
-    if (child_level == 0) {
-      *leaf = e;
-      *local = off;
-      return Status::OK();
-    }
-    PathLevel next;
-    next.page = e.page;
-    auto node = const_cast<NodeStore&>(store_).Load(e.page);
-    if (!node.ok()) return node.status();
-    next.node = std::move(node).value();
-    level = std::move(next);
-  }
-}
-
-StatusOr<std::vector<LobEntry>> ExodusManager::WriteNodeMaybeSplit(
-    PageId orig_page, LobNode&& node) {
-  uint32_t cap = store_.capacity();
-  std::vector<LobEntry> out;
-  if (node.entries.size() <= cap) {
-    if (node.entries.empty()) {
-      if (orig_page != kInvalidPage) {
-        EOS_RETURN_IF_ERROR(store_.FreePage(orig_page));
-      }
-      return out;
-    }
-    PageId page = orig_page;
-    if (page == kInvalidPage) {
-      EOS_ASSIGN_OR_RETURN(page, store_.WriteNew(node));
-    } else {
-      EOS_RETURN_IF_ERROR(store_.Write(&page, node));
-    }
-    out.push_back(LobEntry{node.Total(), page});
-    return out;
-  }
-  size_t n = node.entries.size();
-  size_t q = CeilDiv(n, cap);
-  size_t base = n / q;
-  size_t extra = n % q;
-  size_t pos = 0;
-  for (size_t i = 0; i < q; ++i) {
-    size_t len = base + (i < extra ? 1 : 0);
-    LobNode chunk;
-    chunk.level = node.level;
-    chunk.entries.assign(node.entries.begin() + pos,
-                         node.entries.begin() + pos + len);
-    pos += len;
-    PageId page;
-    if (i == 0 && orig_page != kInvalidPage) {
-      page = orig_page;
-      EOS_RETURN_IF_ERROR(store_.Write(&page, chunk));
-    } else {
-      EOS_ASSIGN_OR_RETURN(page, store_.WriteNew(chunk));
-    }
-    out.push_back(LobEntry{chunk.Total(), page});
-  }
-  return out;
-}
-
-Status ExodusManager::ReplaceInPath(LobDescriptor* d,
-                                    std::vector<PathLevel>* path,
-                                    std::vector<LobEntry> repl) {
-  for (size_t i = path->size(); i-- > 1;) {
-    PathLevel& lvl = (*path)[i];
-    lvl.node.entries.erase(lvl.node.entries.begin() + lvl.child_idx);
-    lvl.node.entries.insert(lvl.node.entries.begin() + lvl.child_idx,
-                            repl.begin(), repl.end());
-    EOS_ASSIGN_OR_RETURN(repl,
-                         WriteNodeMaybeSplit(lvl.page, std::move(lvl.node)));
-  }
-  PathLevel& top = path->front();
-  top.node.entries.erase(top.node.entries.begin() + top.child_idx);
-  top.node.entries.insert(top.node.entries.begin() + top.child_idx,
-                          repl.begin(), repl.end());
-  d->root = std::move(top.node);
-  EOS_RETURN_IF_ERROR(FitRoot(d));
-  return CollapseRoot(d);
-}
-
-Status ExodusManager::FitRoot(LobDescriptor* d) {
-  uint32_t cap = store_.capacity();
-  while (d->root.entries.size() > root_capacity_) {
-    size_t n = d->root.entries.size();
-    // q == 1 yields the stable single-child root (CollapseRoot will not
-    // re-pull a child larger than the root capacity); q >= 2 chunks are
-    // each at least two entries because node capacity is at least 3.
-    size_t q = CeilDiv(n, cap);
-    size_t base = n / q;
-    size_t extra = n % q;
-    LobNode new_root;
-    new_root.level = d->root.level + 1;
-    size_t pos = 0;
-    for (size_t i = 0; i < q; ++i) {
-      size_t len = base + (i < extra ? 1 : 0);
-      LobNode child;
-      child.level = d->root.level;
-      child.entries.assign(d->root.entries.begin() + pos,
-                           d->root.entries.begin() + pos + len);
-      pos += len;
-      EOS_ASSIGN_OR_RETURN(PageId page, store_.WriteNew(child));
-      new_root.entries.push_back(LobEntry{child.Total(), page});
-    }
-    d->root = std::move(new_root);
-  }
-  return Status::OK();
-}
-
-Status ExodusManager::CollapseRoot(LobDescriptor* d) {
-  while (d->root.level > 0 && d->root.entries.size() == 1) {
-    PageId child_page = d->root.entries[0].page;
-    EOS_ASSIGN_OR_RETURN(LobNode child, store_.Load(child_page));
-    if (child.entries.size() > root_capacity_) break;
-    EOS_RETURN_IF_ERROR(store_.FreePage(child_page));
-    d->root = std::move(child);
-  }
-  return Status::OK();
-}
-
-Status ExodusManager::FreeSubtree(const LobEntry& entry, uint16_t level) {
-  if (level == 0) return FreeLeaf(entry.page);
-  EOS_ASSIGN_OR_RETURN(LobNode node, store_.Load(entry.page));
-  for (const LobEntry& e : node.entries) {
-    EOS_RETURN_IF_ERROR(FreeSubtree(e, level - 1));
-  }
-  return store_.FreePage(entry.page);
+Status ExodusManager::FreeSubtree(const LobEntry& entry, uint16_t level,
+                                  PageId keep_a, PageId keep_b) {
+  return store_.FreeSubtree(
+      entry, level,
+      [this](const LobEntry& e) { return Extent{e.page, config_.leaf_pages}; },
+      keep_a, keep_b);
 }
 
 // ----- operations ------------------------------------------------------------
@@ -237,18 +97,19 @@ Status ExodusManager::Append(LobDescriptor* d, ByteView data) {
                          WriteLeaves(data, kInvalidPage));
     d->root.level = 0;
     d->root.entries = std::move(leaves);
-    return FitRoot(d);
+    return store_.FitRoot(d);
   }
   std::vector<PathLevel> path;
   LobEntry leaf;
   uint64_t local = 0;
-  EOS_RETURN_IF_ERROR(DescendToLeaf(*d, d->size() - 1, &path, &leaf, &local));
+  EOS_RETURN_IF_ERROR(
+      store_.DescendToLeaf(*d, d->size() - 1, &path, &leaf, &local));
   // Fill the last leaf in place; overflow spills into fresh leaves.
   EOS_ASSIGN_OR_RETURN(Bytes tail, ReadLeaf(leaf));
   tail.insert(tail.end(), data.data(), data.data() + data.size());
   EOS_ASSIGN_OR_RETURN(std::vector<LobEntry> repl,
                        WriteLeaves(tail, leaf.page));
-  return ReplaceInPath(d, &path, std::move(repl));
+  return store_.ReplaceInPath(d, &path, std::move(repl));
 }
 
 Status ExodusManager::Read(const LobDescriptor& d, uint64_t offset,
@@ -264,7 +125,7 @@ Status ExodusManager::Read(const LobDescriptor& d, uint64_t offset,
     std::vector<PathLevel> path;
     LobEntry leaf;
     uint64_t local = 0;
-    EOS_RETURN_IF_ERROR(DescendToLeaf(d, pos, &path, &leaf, &local));
+    EOS_RETURN_IF_ERROR(store_.DescendToLeaf(d, pos, &path, &leaf, &local));
     uint32_t ps = page_size();
     uint64_t want = std::min(n - out->size(), leaf.count - local);
     uint64_t p0 = local / ps;
@@ -296,7 +157,7 @@ Status ExodusManager::Replace(LobDescriptor* d, uint64_t offset,
     LobEntry leaf;
     uint64_t local = 0;
     EOS_RETURN_IF_ERROR(
-        DescendToLeaf(*d, offset + pos, &path, &leaf, &local));
+        store_.DescendToLeaf(*d, offset + pos, &path, &leaf, &local));
     uint64_t chunk = std::min<uint64_t>(data.size() - pos,
                                         leaf.count - local);
     EOS_ASSIGN_OR_RETURN(Bytes bytes, ReadLeaf(leaf));
@@ -317,14 +178,14 @@ Status ExodusManager::Insert(LobDescriptor* d, uint64_t offset,
   std::vector<PathLevel> path;
   LobEntry leaf;
   uint64_t local = 0;
-  EOS_RETURN_IF_ERROR(DescendToLeaf(*d, offset, &path, &leaf, &local));
+  EOS_RETURN_IF_ERROR(store_.DescendToLeaf(*d, offset, &path, &leaf, &local));
   EOS_ASSIGN_OR_RETURN(Bytes bytes, ReadLeaf(leaf));
   bytes.insert(bytes.begin() + local, data.data(),
                data.data() + data.size());
   // In place if it still fits, otherwise split into balanced leaves.
   EOS_ASSIGN_OR_RETURN(std::vector<LobEntry> repl,
                        WriteLeaves(bytes, leaf.page));
-  return ReplaceInPath(d, &path, std::move(repl));
+  return store_.ReplaceInPath(d, &path, std::move(repl));
 }
 
 // ----- delete ---------------------------------------------------------------
@@ -335,24 +196,6 @@ struct ExodusManager::LeafSubst {
   std::vector<LobEntry> left;
   std::vector<LobEntry> right;
 };
-
-// Boundary leaves were already rewritten or freed before tree surgery, so
-// subtree frees must skip their pages.
-Status ExodusManager::FreeSubtreeForDelete(const LobEntry& entry,
-                                           uint16_t level,
-                                           const LeafSubst& subst) {
-  if (level == 0) {
-    if (entry.page == subst.s_page || entry.page == subst.s2_page) {
-      return Status::OK();
-    }
-    return FreeLeaf(entry.page);
-  }
-  EOS_ASSIGN_OR_RETURN(LobNode node, store_.Load(entry.page));
-  for (const LobEntry& e : node.entries) {
-    EOS_RETURN_IF_ERROR(FreeSubtreeForDelete(e, level - 1, subst));
-  }
-  return store_.FreePage(entry.page);
-}
 
 StatusOr<LobNode> ExodusManager::DeleteInNode(LobNode node, uint64_t lo,
                                               uint64_t hi,
@@ -378,7 +221,7 @@ StatusOr<LobNode> ExodusManager::DeleteInNode(LobNode node, uint64_t lo,
         spliced.insert(spliced.end(), subst.right.begin(),
                        subst.right.end());
       } else {
-        EOS_RETURN_IF_ERROR(FreeSubtreeForDelete(e, 0, subst));
+        EOS_RETURN_IF_ERROR(FreeSubtree(e, 0, subst.s_page, subst.s2_page));
       }
     }
     spliced.insert(spliced.end(), node.entries.begin() + ir + 1,
@@ -388,7 +231,8 @@ StatusOr<LobNode> ExodusManager::DeleteInNode(LobNode node, uint64_t lo,
   }
 
   for (int j = il + 1; j < ir; ++j) {
-    EOS_RETURN_IF_ERROR(FreeSubtreeForDelete(node.entries[j], node.level, subst));
+    EOS_RETURN_IF_ERROR(FreeSubtree(node.entries[j], node.level, subst.s_page,
+                                    subst.s2_page));
   }
   const LobEntry el = node.entries[il];
   const LobEntry er = node.entries[ir];
@@ -397,13 +241,14 @@ StatusOr<LobNode> ExodusManager::DeleteInNode(LobNode node, uint64_t lo,
     uint64_t lo_c = off_l;
     uint64_t hi_c = hi - (lo - off_l);
     if (lo_c == 0 && hi_c == el.count) {
-      EOS_RETURN_IF_ERROR(FreeSubtreeForDelete(el, node.level, subst));
+      EOS_RETURN_IF_ERROR(
+          FreeSubtree(el, node.level, subst.s_page, subst.s2_page));
     } else {
       EOS_ASSIGN_OR_RETURN(LobNode child, store_.Load(el.page));
       EOS_ASSIGN_OR_RETURN(LobNode res,
                            DeleteInNode(std::move(child), lo_c, hi_c, subst));
-      EOS_ASSIGN_OR_RETURN(repl, WriteNodeMaybeSplit(el.page,
-                                                     std::move(res)));
+      EOS_ASSIGN_OR_RETURN(
+          repl, store_.WriteNodeMaybeSplit(el.page, std::move(res)));
     }
   } else {
     bool have_l = off_l > 0;
@@ -414,14 +259,16 @@ StatusOr<LobNode> ExodusManager::DeleteInNode(LobNode node, uint64_t lo,
       EOS_ASSIGN_OR_RETURN(
           lres, DeleteInNode(std::move(child), off_l, el.count, subst));
     } else {
-      EOS_RETURN_IF_ERROR(FreeSubtreeForDelete(el, node.level, subst));
+      EOS_RETURN_IF_ERROR(
+          FreeSubtree(el, node.level, subst.s_page, subst.s2_page));
     }
     if (have_r) {
       EOS_ASSIGN_OR_RETURN(LobNode child, store_.Load(er.page));
       EOS_ASSIGN_OR_RETURN(
           rres, DeleteInNode(std::move(child), 0, off_r + 1, subst));
     } else {
-      EOS_RETURN_IF_ERROR(FreeSubtreeForDelete(er, node.level, subst));
+      EOS_RETURN_IF_ERROR(
+          FreeSubtree(er, node.level, subst.s_page, subst.s2_page));
     }
     if (have_l && have_r &&
         lres.entries.size() + rres.entries.size() <= store_.capacity()) {
@@ -441,13 +288,15 @@ StatusOr<LobNode> ExodusManager::DeleteInNode(LobNode node, uint64_t lo,
           lres.entries.assign(all.begin(), all.begin() + half);
           rres.entries.assign(all.begin() + half, all.end());
         }
-        EOS_ASSIGN_OR_RETURN(std::vector<LobEntry> e1,
-                             WriteNodeMaybeSplit(el.page, std::move(lres)));
+        EOS_ASSIGN_OR_RETURN(
+            std::vector<LobEntry> e1,
+            store_.WriteNodeMaybeSplit(el.page, std::move(lres)));
         repl.insert(repl.end(), e1.begin(), e1.end());
       }
       if (have_r) {
-        EOS_ASSIGN_OR_RETURN(std::vector<LobEntry> e2,
-                             WriteNodeMaybeSplit(er.page, std::move(rres)));
+        EOS_ASSIGN_OR_RETURN(
+            std::vector<LobEntry> e2,
+            store_.WriteNodeMaybeSplit(er.page, std::move(rres)));
         repl.insert(repl.end(), e2.begin(), e2.end());
       }
     }
@@ -471,8 +320,10 @@ Status ExodusManager::Delete(LobDescriptor* d, uint64_t offset, uint64_t n) {
   std::vector<PathLevel> path_l, path_r;
   LobEntry leaf_l, leaf_r;
   uint64_t local_l = 0, local_r = 0;
-  EOS_RETURN_IF_ERROR(DescendToLeaf(*d, start, &path_l, &leaf_l, &local_l));
-  EOS_RETURN_IF_ERROR(DescendToLeaf(*d, end - 1, &path_r, &leaf_r, &local_r));
+  EOS_RETURN_IF_ERROR(
+      store_.DescendToLeaf(*d, start, &path_l, &leaf_l, &local_l));
+  EOS_RETURN_IF_ERROR(
+      store_.DescendToLeaf(*d, end - 1, &path_r, &leaf_r, &local_r));
   bool same = leaf_l.page == leaf_r.page;
 
   LeafSubst subst;
@@ -502,8 +353,8 @@ Status ExodusManager::Delete(LobDescriptor* d, uint64_t offset, uint64_t n) {
   EOS_ASSIGN_OR_RETURN(LobNode new_root,
                        DeleteInNode(std::move(d->root), start, end, subst));
   d->root = std::move(new_root);
-  EOS_RETURN_IF_ERROR(FitRoot(d));
-  return CollapseRoot(d);
+  EOS_RETURN_IF_ERROR(store_.FitRoot(d));
+  return store_.CollapseRoot(d);
 }
 
 Status ExodusManager::Destroy(LobDescriptor* d) {
@@ -516,75 +367,48 @@ Status ExodusManager::Destroy(LobDescriptor* d) {
 
 // ----- stats -----------------------------------------------------------------
 
-Status ExodusManager::WalkStats(const LobEntry& entry, uint16_t level,
-                                LobStats* stats) {
-  if (level == 0) {
-    ++stats->num_segments;
-    stats->leaf_pages += config_.leaf_pages;  // fixed allocation, slack incl.
-    uint64_t pages = config_.leaf_pages;
-    stats->min_segment_pages = stats->num_segments == 1
-                                   ? pages
-                                   : std::min(stats->min_segment_pages, pages);
-    stats->max_segment_pages = std::max(stats->max_segment_pages, pages);
-    return Status::OK();
-  }
-  EOS_ASSIGN_OR_RETURN(LobNode node, store_.Load(entry.page));
-  ++stats->index_pages;
-  for (const LobEntry& e : node.entries) {
-    EOS_RETURN_IF_ERROR(WalkStats(e, level - 1, stats));
-  }
-  return Status::OK();
-}
-
 StatusOr<LobStats> ExodusManager::Stats(const LobDescriptor& d) {
   LobStats stats;
   stats.size_bytes = d.size();
   stats.depth = d.root.level;
-  for (const LobEntry& e : d.root.entries) {
-    EOS_RETURN_IF_ERROR(WalkStats(e, d.root.level, &stats));
-  }
-  if (stats.num_segments > 0) {
-    stats.avg_segment_pages =
-        static_cast<double>(stats.leaf_pages) / stats.num_segments;
-  }
-  if (stats.leaf_pages > 0) {
-    stats.leaf_utilization = static_cast<double>(stats.size_bytes) /
-                             (static_cast<double>(stats.leaf_pages) *
-                              page_size());
-    stats.total_utilization =
-        static_cast<double>(stats.size_bytes) /
-        (static_cast<double>(stats.leaf_pages + stats.index_pages) *
-         page_size());
-  }
+  EOS_RETURN_IF_ERROR(WalkTree(
+      d.root,
+      [&](const LobEntry& e, uint16_t, uint64_t,
+          LobNode* node) -> StatusOr<bool> {
+        EOS_ASSIGN_OR_RETURN(*node, store_.Load(e.page));
+        ++stats.index_pages;
+        return true;
+      },
+      [&](const LobEntry&, uint64_t) {
+        stats.AddSegment(config_.leaf_pages);  // fixed allocation, slack incl.
+        return Status::OK();
+      }));
+  stats.Finish(page_size());
   return stats;
 }
 
-Status ExodusManager::WalkCheck(const LobEntry& entry, uint16_t level) {
-  if (entry.count == 0) return Status::Corruption("zero-count entry");
-  if (level == 0) {
-    if (entry.count > leaf_capacity()) {
-      return Status::Corruption("leaf byte count exceeds leaf capacity");
-    }
-    return Status::OK();
-  }
-  EOS_ASSIGN_OR_RETURN(LobNode node, store_.Load(entry.page));
-  if (node.level != level - 1) {
-    return Status::Corruption("child node level mismatch");
-  }
-  if (node.Total() != entry.count) {
-    return Status::Corruption("child total does not match parent count");
-  }
-  for (const LobEntry& e : node.entries) {
-    EOS_RETURN_IF_ERROR(WalkCheck(e, level - 1));
-  }
-  return Status::OK();
-}
-
 Status ExodusManager::CheckInvariants(const LobDescriptor& d) {
-  for (const LobEntry& e : d.root.entries) {
-    EOS_RETURN_IF_ERROR(WalkCheck(e, d.root.level));
-  }
-  return Status::OK();
+  return WalkTree(
+      d.root,
+      [&](const LobEntry& e, uint16_t level, uint64_t,
+          LobNode* node) -> StatusOr<bool> {
+        if (e.count == 0) return Status::Corruption("zero-count entry");
+        EOS_ASSIGN_OR_RETURN(*node, store_.Load(e.page));
+        if (node->level != level) {
+          return Status::Corruption("child node level mismatch");
+        }
+        if (node->Total() != e.count) {
+          return Status::Corruption("child total does not match parent count");
+        }
+        return true;
+      },
+      [&](const LobEntry& e, uint64_t) -> Status {
+        if (e.count == 0) return Status::Corruption("zero-count entry");
+        if (e.count > leaf_capacity()) {
+          return Status::Corruption("leaf byte count exceeds leaf capacity");
+        }
+        return Status::OK();
+      });
 }
 
 }  // namespace eos

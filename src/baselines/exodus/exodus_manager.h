@@ -16,7 +16,9 @@ namespace eos {
 
 // Clean-room reimplementation of the Exodus large object manager
 // [Care86], the design EOS borrows its positional tree from and is
-// evaluated against (Section 2).
+// evaluated against (Section 2). The tree itself — descent, write-back
+// with splits, the root fit and the subtree walk — is EOS's own NodeStore
+// spine; only the leaves and the delete merge below are Exodus's.
 //
 // Differences from EOS, faithfully reproduced:
 //  * Leaf data pages are FIXED SIZE (leaf_pages blocks each, configurable
@@ -64,22 +66,6 @@ class ExodusManager {
   SegmentAllocator* allocator() { return store_.allocator(); }
 
  private:
-  struct PathLevel {
-    PageId page = kInvalidPage;
-    LobNode node;
-    int child_idx = -1;
-  };
-
-  Status DescendToLeaf(const LobDescriptor& d, uint64_t offset,
-                       std::vector<PathLevel>* path, LobEntry* leaf,
-                       uint64_t* local) const;
-  Status ReplaceInPath(LobDescriptor* d, std::vector<PathLevel>* path,
-                       std::vector<LobEntry> repl);
-  StatusOr<std::vector<LobEntry>> WriteNodeMaybeSplit(PageId orig_page,
-                                                      LobNode&& node);
-  Status FitRoot(LobDescriptor* d);
-  Status CollapseRoot(LobDescriptor* d);
-
   StatusOr<Bytes> ReadLeaf(const LobEntry& leaf);
   Status WriteLeaf(PageId page, ByteView bytes);
   StatusOr<PageId> NewLeaf(ByteView bytes);
@@ -90,20 +76,17 @@ class ExodusManager {
   StatusOr<std::vector<LobEntry>> WriteLeaves(ByteView bytes,
                                               PageId reuse_page);
 
-  Status FreeSubtree(const LobEntry& entry, uint16_t level);
+  // NodeStore::FreeSubtree over Exodus leaves.
+  Status FreeSubtree(const LobEntry& entry, uint16_t level,
+                     PageId keep_a = kInvalidPage,
+                     PageId keep_b = kInvalidPage);
 
   struct LeafSubst;
-  Status FreeSubtreeForDelete(const LobEntry& entry, uint16_t level,
-                              const LeafSubst& subst);
   StatusOr<LobNode> DeleteInNode(LobNode node, uint64_t lo, uint64_t hi,
                                  const LeafSubst& subst);
 
-  Status WalkStats(const LobEntry& entry, uint16_t level, LobStats* stats);
-  Status WalkCheck(const LobEntry& entry, uint16_t level);
-
   ExodusConfig config_;
   NodeStore store_;
-  uint32_t root_capacity_;
 };
 
 }  // namespace eos

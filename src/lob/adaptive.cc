@@ -48,8 +48,8 @@ Status LobManager::CompactUnsafeRuns(LobNode* leaf_parent) {
     uint64_t pos = 0;
     for (size_t k = i; k < j; ++k) {
       const LobEntry& e = leaf_parent->entries[k];
-      LeafRef leaf{Extent{e.page, LeafPages(e.count)}, e.count};
-      EOS_RETURN_IF_ERROR(ReadLeafBytes(leaf, 0, e.count, buf.data() + pos));
+      EOS_RETURN_IF_ERROR(
+          ReadLeafBytes(LeafOf(e), 0, e.count, buf.data() + pos));
       pos += e.count;
     }
     EOS_ASSIGN_OR_RETURN(std::vector<LobEntry> merged, WriteSegments(buf));

@@ -111,16 +111,14 @@ Status LobAppender::CloseSegment() {
   if (d_->empty()) {
     d_->root.level = 0;
     d_->root.entries.push_back(entry);
-    return mgr_->FitRoot(d_);
+    return mgr_->store_.FitRoot(d_);
   }
-  std::vector<LobManager::PathLevel> path;
-  LobManager::LeafRef leaf;
+  std::vector<PathLevel> path;
+  LobEntry last;
   uint64_t local = 0;
-  EOS_RETURN_IF_ERROR(
-      mgr_->DescendToLeaf(*d_, d_->size() - 1, &path, &leaf, &local));
-  std::vector<LobEntry> repl = {LobEntry{leaf.bytes, leaf.extent.first},
-                                entry};
-  return mgr_->ReplaceInPath(d_, &path, std::move(repl));
+  EOS_RETURN_IF_ERROR(mgr_->store_.DescendToLeaf(*d_, d_->size() - 1, &path,
+                                                 &last, &local));
+  return mgr_->Splice(d_, &path, {last, entry});
 }
 
 LobAppender::SessionState LobAppender::SaveState() const {
@@ -159,11 +157,12 @@ Status LobAppender::AppendBody(ByteView data) {
     // First append to an existing object: absorb the partial tail page so
     // the new segment continues it without overwriting any leaf page, and
     // continue the doubling pattern from the last leaf's size.
-    std::vector<LobManager::PathLevel> path;
-    LobManager::LeafRef leaf;
+    std::vector<PathLevel> path;
+    LobEntry last;
     uint64_t local = 0;
-    EOS_RETURN_IF_ERROR(
-        mgr_->DescendToLeaf(*d_, d_->size() - 1, &path, &leaf, &local));
+    EOS_RETURN_IF_ERROR(mgr_->store_.DescendToLeaf(*d_, d_->size() - 1, &path,
+                                                   &last, &local));
+    const LobManager::LeafRef leaf = mgr_->LeafOf(last);
     next_pages_ = static_cast<uint32_t>(std::min<uint64_t>(
         uint64_t{leaf.extent.pages} * 2, mgr_->max_segment_pages()));
     if (next_pages_ == 0) next_pages_ = 1;
@@ -178,7 +177,7 @@ Status LobAppender::AppendBody(ByteView data) {
       if (leaf.bytes > lm) {
         repl.push_back(LobEntry{leaf.bytes - lm, leaf.extent.first});
       }
-      EOS_RETURN_IF_ERROR(mgr_->ReplaceInPath(d_, &path, std::move(repl)));
+      EOS_RETURN_IF_ERROR(mgr_->Splice(d_, &path, std::move(repl)));
       if (!d_->empty()) {
         EOS_RETURN_IF_ERROR(mgr_->RepairUnderflow(d_, d_->size() - 1));
       }
@@ -237,7 +236,7 @@ Status LobAppender::Finish() {
       EOS_RETURN_IF_ERROR(OpenSegment(page_buf_.size()));
     }
     EOS_RETURN_IF_ERROR(CloseSegment());
-    return mgr_->FitRoot(d_);
+    return mgr_->store_.FitRoot(d_);
   });
   if (!s.ok()) {
     // The session is over either way. The guard unwound this call's own

@@ -27,24 +27,6 @@ struct LobManager::LeafSubst {
   std::vector<LobEntry> right;    // R (0 or 1 entries)
 };
 
-// During tree surgery, wholly deleted subtrees are freed from index
-// information alone — but the two boundary leaves' pages were already freed
-// (or partially kept) by phase 1, so they must be skipped here.
-Status LobManager::FreeSubtreeForDelete(const LobEntry& entry, uint16_t level,
-                                        const LeafSubst& subst) {
-  if (level == 0) {
-    if (entry.page == subst.s_page || entry.page == subst.s2_page) {
-      return Status::OK();  // phase 1 already disposed of these pages
-    }
-    return allocator()->Free(Extent{entry.page, LeafPages(entry.count)});
-  }
-  EOS_ASSIGN_OR_RETURN(LobNode node, store_.Load(entry.page));
-  for (const LobEntry& e : node.entries) {
-    EOS_RETURN_IF_ERROR(FreeSubtreeForDelete(e, level - 1, subst));
-  }
-  return store_.FreePage(entry.page);
-}
-
 Status LobManager::RepairUnderflow(LobDescriptor* d, uint64_t offset) {
   if (d->empty() || d->root.level == 0) return Status::OK();
   offset = std::min(offset, d->size() - 1);
@@ -52,9 +34,10 @@ Status LobManager::RepairUnderflow(LobDescriptor* d, uint64_t offset) {
   // gives the node at L-1 siblings to merge with next round.
   for (int guard = 0; guard < 128; ++guard) {
     std::vector<PathLevel> path;
-    LeafRef leaf;
+    LobEntry leaf;
     uint64_t local = 0;
-    EOS_RETURN_IF_ERROR(DescendToLeaf(*d, offset, &path, &leaf, &local));
+    EOS_RETURN_IF_ERROR(
+        store_.DescendToLeaf(*d, offset, &path, &leaf, &local));
     size_t bad = path.size();
     for (size_t i = 1; i < path.size(); ++i) {
       if (path[i].node.entries.size() < 2 &&
@@ -69,13 +52,13 @@ Status LobManager::RepairUnderflow(LobDescriptor* d, uint64_t offset) {
         FixUnderfullChild(&parent.node, parent.child_idx));
     if (bad == 1) {
       d->root = std::move(parent.node);
-      EOS_RETURN_IF_ERROR(CollapseRoot(d));
+      EOS_RETURN_IF_ERROR(store_.CollapseRoot(d));
     } else {
       EOS_ASSIGN_OR_RETURN(
           std::vector<LobEntry> repl,
-          WriteNodeMaybeSplit(parent.page, std::move(parent.node)));
+          store_.WriteNodeMaybeSplit(parent.page, std::move(parent.node)));
       path.resize(bad - 1);
-      EOS_RETURN_IF_ERROR(ReplaceInPath(d, &path, std::move(repl)));
+      EOS_RETURN_IF_ERROR(Splice(d, &path, std::move(repl)));
     }
   }
   return Status::OK();
@@ -189,7 +172,7 @@ StatusOr<LobNode> LobManager::DeleteInNode(LobNode node, uint64_t lo,
         spliced.insert(spliced.end(), subst.right.begin(),
                        subst.right.end());
       } else {
-        EOS_RETURN_IF_ERROR(FreeSubtreeForDelete(e, 0, subst));
+        EOS_RETURN_IF_ERROR(FreeSubtree(e, 0, subst.s_page, subst.s2_page));
       }
     }
     spliced.insert(spliced.end(), node.entries.begin() + ir + 1,
@@ -200,7 +183,8 @@ StatusOr<LobNode> LobManager::DeleteInNode(LobNode node, uint64_t lo,
 
   // Internal node: free wholly deleted child subtrees.
   for (int j = il + 1; j < ir; ++j) {
-    EOS_RETURN_IF_ERROR(FreeSubtreeForDelete(node.entries[j], node.level, subst));
+    EOS_RETURN_IF_ERROR(FreeSubtree(node.entries[j], node.level, subst.s_page,
+                                    subst.s2_page));
   }
 
   if (il == ir) {
@@ -210,7 +194,8 @@ StatusOr<LobNode> LobManager::DeleteInNode(LobNode node, uint64_t lo,
     if (lo_c == 0 && hi_c == e.count) {
       // The child is wholly deleted (boundary substitutions are provably
       // empty in this case — surviving bytes would extend the range).
-      EOS_RETURN_IF_ERROR(FreeSubtreeForDelete(e, node.level, subst));
+      EOS_RETURN_IF_ERROR(
+          FreeSubtree(e, node.level, subst.s_page, subst.s2_page));
       node.entries.erase(node.entries.begin() + il);
       return node;
     }
@@ -219,7 +204,7 @@ StatusOr<LobNode> LobManager::DeleteInNode(LobNode node, uint64_t lo,
                          DeleteInNode(std::move(child), lo_c, hi_c, subst));
     size_t res_n = res.entries.size();
     EOS_ASSIGN_OR_RETURN(std::vector<LobEntry> repl,
-                         WriteNodeMaybeSplit(e.page, std::move(res)));
+                         store_.WriteNodeMaybeSplit(e.page, std::move(res)));
     node.entries.erase(node.entries.begin() + il);
     node.entries.insert(node.entries.begin() + il, repl.begin(), repl.end());
     if (repl.size() == 1 && res_n < min_entries) {
@@ -241,14 +226,16 @@ StatusOr<LobNode> LobManager::DeleteInNode(LobNode node, uint64_t lo,
     EOS_ASSIGN_OR_RETURN(
         lres, DeleteInNode(std::move(child), lo_c, el.count, subst));
   } else {
-    EOS_RETURN_IF_ERROR(FreeSubtreeForDelete(el, node.level, subst));
+    EOS_RETURN_IF_ERROR(
+        FreeSubtree(el, node.level, subst.s_page, subst.s2_page));
   }
   if (have_r) {
     EOS_ASSIGN_OR_RETURN(LobNode child, store_.Load(er.page));
     EOS_ASSIGN_OR_RETURN(rres,
                          DeleteInNode(std::move(child), 0, hi_r, subst));
   } else {
-    EOS_RETURN_IF_ERROR(FreeSubtreeForDelete(er, node.level, subst));
+    EOS_RETURN_IF_ERROR(
+        FreeSubtree(er, node.level, subst.s_page, subst.s2_page));
   }
 
   std::vector<LobEntry> repl;
@@ -264,14 +251,15 @@ StatusOr<LobNode> LobManager::DeleteInNode(LobNode node, uint64_t lo,
     EOS_RETURN_IF_ERROR(RepairJunction(&lres, junction));
     size_t n = lres.entries.size();
     EOS_RETURN_IF_ERROR(store_.FreePage(er.page));
-    EOS_ASSIGN_OR_RETURN(repl, WriteNodeMaybeSplit(el.page,
-                                                   std::move(lres)));
+    EOS_ASSIGN_OR_RETURN(
+        repl, store_.WriteNodeMaybeSplit(el.page, std::move(lres)));
     check_underflow = repl.size() == 1 && n < min_entries;
   } else if (have_l || have_r) {
     LobNode& res = have_l ? lres : rres;
     PageId orig = have_l ? el.page : er.page;
     size_t n = res.entries.size();
-    EOS_ASSIGN_OR_RETURN(repl, WriteNodeMaybeSplit(orig, std::move(res)));
+    EOS_ASSIGN_OR_RETURN(repl,
+                         store_.WriteNodeMaybeSplit(orig, std::move(res)));
     check_underflow = repl.size() == 1 && n < min_entries;
   }
   node.entries.erase(node.entries.begin() + il,
@@ -317,10 +305,12 @@ Status LobManager::DeleteImpl(LobDescriptor* d, uint64_t offset, uint64_t n) {
 
   const uint32_t ps = page_size();
   std::vector<PathLevel> path_l, path_r;
-  LeafRef leaf_l, leaf_r;
+  LobEntry e_l, e_r;
   uint64_t local_l = 0, local_r = 0;
-  EOS_RETURN_IF_ERROR(DescendToLeaf(*d, start, &path_l, &leaf_l, &local_l));
-  EOS_RETURN_IF_ERROR(DescendToLeaf(*d, end - 1, &path_r, &leaf_r, &local_r));
+  EOS_RETURN_IF_ERROR(store_.DescendToLeaf(*d, start, &path_l, &e_l, &local_l));
+  EOS_RETURN_IF_ERROR(
+      store_.DescendToLeaf(*d, end - 1, &path_r, &e_r, &local_r));
+  const LeafRef leaf_l = LeafOf(e_l), leaf_r = LeafOf(e_r);
   const bool same_leaf = leaf_l.extent.first == leaf_r.extent.first;
 
   // Step 2: L from S around page P; N and R from S' around page Q.
@@ -413,8 +403,8 @@ Status LobManager::DeleteImpl(LobDescriptor* d, uint64_t offset, uint64_t n) {
   EOS_ASSIGN_OR_RETURN(LobNode new_root,
                        DeleteInNode(std::move(d->root), start, end, subst));
   d->root = std::move(new_root);
-  EOS_RETURN_IF_ERROR(FitRoot(d));
-  EOS_RETURN_IF_ERROR(CollapseRoot(d));
+  EOS_RETURN_IF_ERROR(store_.FitRoot(d));
+  EOS_RETURN_IF_ERROR(store_.CollapseRoot(d));
   // The cut's two sides (bytes start-1 and start) may live in different
   // subtrees; repair the path to each.
   if (start > 0) {

@@ -40,9 +40,10 @@ Status LobManager::InsertImpl(LobDescriptor* d, uint64_t offset,
 
   const uint32_t ps = page_size();
   std::vector<PathLevel> path;
-  LeafRef leaf;
+  LobEntry e;
   uint64_t local = 0;
-  EOS_RETURN_IF_ERROR(DescendToLeaf(*d, offset, &path, &leaf, &local));
+  EOS_RETURN_IF_ERROR(store_.DescendToLeaf(*d, offset, &path, &e, &local));
+  const LeafRef leaf = LeafOf(e);
 
   // Step 2 (preparation): carve S into L | page P | R around byte B.
   const uint64_t sc = leaf.bytes;
@@ -106,7 +107,7 @@ Status LobManager::InsertImpl(LobDescriptor* d, uint64_t offset,
     repl.push_back(
         LobEntry{plan.rc, leaf.extent.first + p + 1 + r_shift});
   }
-  return ReplaceInPath(d, &path, std::move(repl));
+  return Splice(d, &path, std::move(repl));
 }
 
 Status LobManager::Append(LobDescriptor* d, ByteView data) {
@@ -129,12 +130,14 @@ Status LobManager::AppendImpl(LobDescriptor* d, ByteView data) {
     EOS_ASSIGN_OR_RETURN(std::vector<LobEntry> segs, WriteSegments(data));
     d->root.level = 0;
     d->root.entries = std::move(segs);
-    return FitRoot(d);
+    return store_.FitRoot(d);
   }
   std::vector<PathLevel> path;
-  LeafRef leaf;
+  LobEntry e;
   uint64_t local = 0;
-  EOS_RETURN_IF_ERROR(DescendToLeaf(*d, d->size() - 1, &path, &leaf, &local));
+  EOS_RETURN_IF_ERROR(
+      store_.DescendToLeaf(*d, d->size() - 1, &path, &e, &local));
+  const LeafRef leaf = LeafOf(e);
 
   const uint64_t lm = leaf.bytes % ps;  // bytes in the partial last page
   std::vector<LobEntry> repl;
@@ -159,7 +162,7 @@ Status LobManager::AppendImpl(LobDescriptor* d, ByteView data) {
     }
     repl.insert(repl.end(), segs.begin(), segs.end());
   }
-  EOS_RETURN_IF_ERROR(ReplaceInPath(d, &path, std::move(repl)));
+  EOS_RETURN_IF_ERROR(Splice(d, &path, std::move(repl)));
   return RepairUnderflow(d, d->size() - 1);
 }
 

@@ -17,17 +17,13 @@ namespace eos {
 LobManager::LobManager(Pager* pager, SegmentAllocator* allocator,
                        const LobConfig& config)
     : config_(config),
-      store_(pager, allocator, allocator->geometry().page_size) {
+      store_(pager, allocator, allocator->geometry().page_size,
+             config.max_root_bytes) {
   uint32_t buddy_max = allocator->geometry().max_segment_pages();
   max_segment_pages_ =
       config.max_segment_pages == 0
           ? buddy_max
           : std::min(config.max_segment_pages, buddy_max);
-  uint32_t root_bytes =
-      config.max_root_bytes == 0 ? page_size() : config.max_root_bytes;
-  root_capacity_ = std::max<uint32_t>(
-      2, std::min(LobDescriptor::MaxEntriesFor(root_bytes),
-                  NodeFormat::Capacity(page_size())));
   if (config_.threshold_pages == 0) config_.threshold_pages = 1;
   if (config_.threshold_pages > max_segment_pages_) {
     config_.threshold_pages = max_segment_pages_;
@@ -62,42 +58,6 @@ uint32_t LobManager::EffectiveThreshold(const LobDescriptor& d,
     if (t < base) t = base;
   }
   return t;
-}
-
-// ----- descent ---------------------------------------------------------------
-
-Status LobManager::DescendToLeaf(const LobDescriptor& d, uint64_t offset,
-                                 std::vector<PathLevel>* path, LeafRef* leaf,
-                                 uint64_t* local) const {
-  if (offset >= d.size()) {
-    return Status::OutOfRange("offset beyond object size");
-  }
-  path->clear();
-  PathLevel level;
-  level.page = kInvalidPage;
-  level.node = d.root;
-  uint64_t off = offset;
-  for (;;) {
-    level.child_idx = level.node.FindChild(&off);
-    const LobEntry& e = level.node.entries[level.child_idx];
-    uint16_t child_level = level.node.level;
-    path->push_back(level);
-    if (child_level == 0) {
-      leaf->extent = Extent{e.page, LeafPages(e.count)};
-      leaf->bytes = e.count;
-      *local = off;
-      return Status::OK();
-    }
-    PathLevel next;
-    next.page = e.page;
-    auto node = const_cast<NodeStore&>(store_).Load(e.page);
-    if (!node.ok()) return node.status();
-    next.node = std::move(node).value();
-    if (next.node.level != child_level - 1) {
-      return Status::Corruption("index node level mismatch");
-    }
-    level = std::move(next);
-  }
 }
 
 // ----- leaf I/O --------------------------------------------------------------
@@ -207,116 +167,17 @@ StatusOr<std::vector<LobEntry>> LobManager::WriteSegments(ByteView data) {
 
 // ----- spine write-back ------------------------------------------------------
 
-StatusOr<std::vector<LobEntry>> LobManager::WriteNodeMaybeSplit(
-    PageId orig_page, LobNode&& node) {
-  uint32_t cap = store_.capacity();
-  std::vector<LobEntry> out;
-  if (node.entries.size() <= cap) {
-    if (node.entries.empty()) {
-      if (orig_page != kInvalidPage) {
-        EOS_RETURN_IF_ERROR(store_.FreePage(orig_page));
-      }
-      return out;
-    }
-    PageId page = orig_page;
-    if (page == kInvalidPage) {
-      EOS_ASSIGN_OR_RETURN(page, store_.WriteNew(node));
-    } else {
-      EOS_RETURN_IF_ERROR(store_.Write(&page, node));
-    }
-    out.push_back(LobEntry{node.Total(), page});
-    return out;
+Status LobManager::Splice(LobDescriptor* d, std::vector<PathLevel>* path,
+                          std::vector<LobEntry> repl) {
+  std::function<Status(LobNode*)> compact;
+  if (config_.adaptive_threshold) {
+    compact = [this](LobNode* n) { return CompactUnsafeRuns(n); };
   }
-  // Split into evenly sized chunks, each at least half full.
-  size_t n = node.entries.size();
-  size_t q = CeilDiv(n, cap);
-  size_t base = n / q;
-  size_t extra = n % q;
-  size_t pos = 0;
-  for (size_t i = 0; i < q; ++i) {
-    size_t len = base + (i < extra ? 1 : 0);
-    LobNode chunk;
-    chunk.level = node.level;
-    chunk.entries.assign(node.entries.begin() + pos,
-                         node.entries.begin() + pos + len);
-    pos += len;
-    PageId page;
-    if (i == 0 && orig_page != kInvalidPage) {
-      page = orig_page;
-      EOS_RETURN_IF_ERROR(store_.Write(&page, chunk));
-    } else {
-      EOS_ASSIGN_OR_RETURN(page, store_.WriteNew(chunk));
-    }
-    out.push_back(LobEntry{chunk.Total(), page});
-  }
-  return out;
-}
-
-Status LobManager::ReplaceInPath(LobDescriptor* d,
-                                 std::vector<PathLevel>* path,
-                                 std::vector<LobEntry> repl) {
-  for (size_t i = path->size(); i-- > 1;) {
-    PathLevel& lvl = (*path)[i];
-    lvl.node.entries.erase(lvl.node.entries.begin() + lvl.child_idx);
-    lvl.node.entries.insert(lvl.node.entries.begin() + lvl.child_idx,
-                            repl.begin(), repl.end());
-    if (config_.adaptive_threshold && lvl.node.level == 0 &&
-        lvl.node.entries.size() > store_.capacity()) {
-      EOS_RETURN_IF_ERROR(CompactUnsafeRuns(&lvl.node));
-    }
-    EOS_ASSIGN_OR_RETURN(repl,
-                         WriteNodeMaybeSplit(lvl.page, std::move(lvl.node)));
-  }
-  PathLevel& top = path->front();
-  assert(top.page == kInvalidPage);
-  top.node.entries.erase(top.node.entries.begin() + top.child_idx);
-  top.node.entries.insert(top.node.entries.begin() + top.child_idx,
-                          repl.begin(), repl.end());
-  d->root = std::move(top.node);
-  EOS_RETURN_IF_ERROR(FitRoot(d));
-  EOS_RETURN_IF_ERROR(CollapseRoot(d));
+  EOS_RETURN_IF_ERROR(
+      store_.ReplaceInPath(d, path, std::move(repl), compact));
   static obs::Gauge* tree_level =
       obs::MetricsRegistry::Default().gauge(obs::kLobTreeLevel);
   tree_level->Set(d->root.level);
-  return Status::OK();
-}
-
-Status LobManager::FitRoot(LobDescriptor* d) {
-  uint32_t cap = store_.capacity();
-  while (d->root.entries.size() > root_capacity_) {
-    size_t n = d->root.entries.size();
-    // q == 1 yields the stable single-child root (CollapseRoot will not
-    // re-pull a child larger than the root capacity); q >= 2 chunks are
-    // each at least two entries because node capacity is at least 3.
-    size_t q = CeilDiv(n, cap);
-    size_t base = n / q;
-    size_t extra = n % q;
-    LobNode new_root;
-    new_root.level = d->root.level + 1;
-    size_t pos = 0;
-    for (size_t i = 0; i < q; ++i) {
-      size_t len = base + (i < extra ? 1 : 0);
-      LobNode child;
-      child.level = d->root.level;
-      child.entries.assign(d->root.entries.begin() + pos,
-                           d->root.entries.begin() + pos + len);
-      pos += len;
-      EOS_ASSIGN_OR_RETURN(PageId page, store_.WriteNew(child));
-      new_root.entries.push_back(LobEntry{child.Total(), page});
-    }
-    d->root = std::move(new_root);
-  }
-  return Status::OK();
-}
-
-Status LobManager::CollapseRoot(LobDescriptor* d) {
-  while (d->root.level > 0 && d->root.entries.size() == 1) {
-    PageId child_page = d->root.entries[0].page;
-    EOS_ASSIGN_OR_RETURN(LobNode child, store_.Load(child_page));
-    if (child.entries.size() > root_capacity_) break;
-    EOS_RETURN_IF_ERROR(store_.FreePage(child_page));
-    d->root = std::move(child);
-  }
   return Status::OK();
 }
 
@@ -359,15 +220,11 @@ StatusOr<LobDescriptor> LobManager::CreateFromImpl(ByteView data) {
   return d;
 }
 
-Status LobManager::FreeSubtree(const LobEntry& entry, uint16_t level) {
-  if (level == 0) {
-    return allocator()->Free(Extent{entry.page, LeafPages(entry.count)});
-  }
-  EOS_ASSIGN_OR_RETURN(LobNode node, store_.Load(entry.page));
-  for (const LobEntry& e : node.entries) {
-    EOS_RETURN_IF_ERROR(FreeSubtree(e, level - 1));
-  }
-  return store_.FreePage(entry.page);
+Status LobManager::FreeSubtree(const LobEntry& entry, uint16_t level,
+                               PageId keep_a, PageId keep_b) {
+  return store_.FreeSubtree(
+      entry, level, [this](const LobEntry& e) { return LeafOf(e).extent; },
+      keep_a, keep_b);
 }
 
 Status LobManager::Destroy(LobDescriptor* d) {
@@ -559,10 +416,11 @@ Status LobManager::ReplaceCowImpl(LobDescriptor* d, uint64_t offset,
   while (done < data.size()) {
     EOS_RETURN_IF_ERROR(ScopedOpContext::CheckCurrent("lob.replace"));
     std::vector<PathLevel> path;
-    LeafRef leaf;
+    LobEntry e;
     uint64_t local = 0;
     EOS_RETURN_IF_ERROR(
-        DescendToLeaf(*d, offset + done, &path, &leaf, &local));
+        store_.DescendToLeaf(*d, offset + done, &path, &e, &local));
+    const LeafRef leaf = LeafOf(e);
     uint64_t chunk =
         std::min<uint64_t>(data.size() - done, leaf.bytes - local);
     Bytes merged(leaf.bytes);
@@ -574,7 +432,7 @@ Status LobManager::ReplaceCowImpl(LobDescriptor* d, uint64_t offset,
         fresh.first, ByteView(merged.data(), merged.size())));
     EOS_RETURN_IF_ERROR(allocator()->Free(leaf.extent));
     EOS_RETURN_IF_ERROR(
-        ReplaceInPath(d, &path, {LobEntry{leaf.bytes, fresh.first}}));
+        Splice(d, &path, {LobEntry{leaf.bytes, fresh.first}}));
     done += chunk;
   }
   return Status::OK();
@@ -642,139 +500,127 @@ Status LobManager::Truncate(LobDescriptor* d, uint64_t new_size) {
 
 // ----- stats & invariants ----------------------------------------------------
 
-Status LobManager::WalkStats(const LobEntry& entry, uint16_t level,
-                             LobStats* stats) {
-  if (level == 0) {
-    uint64_t pages = LeafPages(entry.count);
-    ++stats->num_segments;
-    stats->leaf_pages += pages;
-    stats->min_segment_pages = stats->num_segments == 1
-                                   ? pages
-                                   : std::min(stats->min_segment_pages, pages);
-    stats->max_segment_pages = std::max(stats->max_segment_pages, pages);
-    if (pages < config_.threshold_pages) ++stats->unsafe_segments;
-    return Status::OK();
+void LobStats::AddSegment(uint64_t pages) {
+  ++num_segments;
+  leaf_pages += pages;
+  min_segment_pages =
+      num_segments == 1 ? pages : std::min(min_segment_pages, pages);
+  max_segment_pages = std::max(max_segment_pages, pages);
+}
+
+void LobStats::Finish(uint32_t page_size) {
+  if (num_segments > 0) {
+    avg_segment_pages = static_cast<double>(leaf_pages) / num_segments;
   }
-  EOS_ASSIGN_OR_RETURN(LobNode node, store_.Load(entry.page));
-  ++stats->index_pages;
-  if (node.entries.size() < store_.min_entries()) ++stats->underfull_nodes;
-  for (const LobEntry& e : node.entries) {
-    EOS_RETURN_IF_ERROR(WalkStats(e, level - 1, stats));
+  if (leaf_pages > 0) {
+    leaf_utilization = static_cast<double>(size_bytes) /
+                       (static_cast<double>(leaf_pages) * page_size);
+    total_utilization =
+        static_cast<double>(size_bytes) /
+        (static_cast<double>(leaf_pages + index_pages) * page_size);
   }
-  return Status::OK();
 }
 
 StatusOr<LobStats> LobManager::Stats(const LobDescriptor& d) {
   LobStats stats;
   stats.size_bytes = d.size();
   stats.depth = d.root.level;
-  for (const LobEntry& e : d.root.entries) {
-    EOS_RETURN_IF_ERROR(WalkStats(e, d.root.level, &stats));
-  }
-  if (stats.num_segments > 0) {
-    stats.avg_segment_pages =
-        static_cast<double>(stats.leaf_pages) / stats.num_segments;
-  }
-  if (stats.leaf_pages > 0) {
-    stats.leaf_utilization = static_cast<double>(stats.size_bytes) /
-                             (static_cast<double>(stats.leaf_pages) *
-                              page_size());
-    stats.total_utilization =
-        static_cast<double>(stats.size_bytes) /
-        (static_cast<double>(stats.leaf_pages + stats.index_pages) *
-         page_size());
-  }
+  EOS_RETURN_IF_ERROR(WalkTree(
+      d.root,
+      [&](const LobEntry& e, uint16_t, uint64_t,
+          LobNode* node) -> StatusOr<bool> {
+        EOS_ASSIGN_OR_RETURN(*node, store_.Load(e.page));
+        ++stats.index_pages;
+        if (node->entries.size() < store_.min_entries()) {
+          ++stats.underfull_nodes;
+        }
+        return true;
+      },
+      [&](const LobEntry& e, uint64_t) {
+        uint64_t pages = LeafPages(e.count);
+        stats.AddSegment(pages);
+        if (pages < config_.threshold_pages) ++stats.unsafe_segments;
+        return Status::OK();
+      }));
+  stats.Finish(page_size());
   return stats;
 }
 
-Status LobManager::WalkCheck(const LobEntry& entry, uint16_t level,
-                             bool is_root_child) {
-  if (entry.count == 0) {
-    return Status::Corruption("zero-count entry");
-  }
-  if (level == 0) {
-    if (entry.page == kInvalidPage) {
-      return Status::Corruption("leaf entry without segment address");
-    }
-    // Cross-check against the buddy system: the segment's pages must be
-    // live allocations (a dangling reference would read freed storage).
-    EOS_ASSIGN_OR_RETURN(
-        bool live,
-        allocator()->IsAllocated(Extent{entry.page, LeafPages(entry.count)}));
-    if (!live) {
-      return Status::Corruption("leaf segment at page " +
-                                std::to_string(entry.page) +
-                                " references unallocated storage");
-    }
-    return Status::OK();
-  }
-  EOS_ASSIGN_OR_RETURN(bool node_live,
-                       allocator()->IsAllocated(Extent{entry.page, 1}));
-  if (!node_live) {
-    return Status::Corruption("index node page " +
-                              std::to_string(entry.page) +
-                              " references unallocated storage");
-  }
-  EOS_ASSIGN_OR_RETURN(LobNode node, store_.Load(entry.page));
-  if (node.level != level - 1) {
-    return Status::Corruption("child node level mismatch");
-  }
-  if (node.Total() != entry.count) {
-    return Status::Corruption("child subtree total does not match parent "
-                              "entry count");
-  }
-  if (node.entries.empty() || node.entries.size() > store_.capacity()) {
-    return Status::Corruption("index node entry count out of range");
-  }
-  // Non-root nodes normally hold >= 2 entries; children of a small client
-  // root are exempt (see DESIGN.md).
-  if (!is_root_child && node.entries.size() < 2) {
-    return Status::Corruption("internal node with a single entry");
-  }
-  for (const LobEntry& e : node.entries) {
-    EOS_RETURN_IF_ERROR(WalkCheck(e, level - 1, false));
-  }
-  return Status::OK();
-}
-
 Status LobManager::CheckInvariants(const LobDescriptor& d) {
-  if (d.root.entries.size() > root_capacity_) {
+  if (d.root.entries.size() > root_capacity()) {
     return Status::Corruption("root exceeds its configured capacity");
   }
   if (d.root.level > 0 && d.root.entries.size() == 1) {
     // Transient single-child roots are collapsed by every update; finding
     // one at rest means CollapseRoot was skipped.
     EOS_ASSIGN_OR_RETURN(LobNode child, store_.Load(d.root.entries[0].page));
-    if (child.entries.size() <= root_capacity_) {
+    if (child.entries.size() <= root_capacity()) {
       return Status::Corruption("uncollapsed single-child root");
     }
   }
-  for (const LobEntry& e : d.root.entries) {
-    EOS_RETURN_IF_ERROR(WalkCheck(e, d.root.level, true));
-  }
-  return Status::OK();
-}
-
-Status LobManager::WalkCollect(const LobEntry& entry, uint16_t level,
-                               std::vector<Extent>* out) {
-  if (level == 0) {
-    out->push_back(Extent{entry.page, LeafPages(entry.count)});
-    return Status::OK();
-  }
-  out->push_back(Extent{entry.page, 1});
-  EOS_ASSIGN_OR_RETURN(LobNode node, store_.Load(entry.page));
-  for (const LobEntry& e : node.entries) {
-    EOS_RETURN_IF_ERROR(WalkCollect(e, level - 1, out));
-  }
-  return Status::OK();
+  return WalkTree(
+      d.root,
+      [&](const LobEntry& e, uint16_t level, uint64_t,
+          LobNode* node) -> StatusOr<bool> {
+        if (e.count == 0) return Status::Corruption("zero-count entry");
+        EOS_ASSIGN_OR_RETURN(bool node_live,
+                             allocator()->IsAllocated(Extent{e.page, 1}));
+        if (!node_live) {
+          return Status::Corruption("index node page " +
+                                    std::to_string(e.page) +
+                                    " references unallocated storage");
+        }
+        EOS_ASSIGN_OR_RETURN(*node, store_.Load(e.page));
+        if (node->level != level) {
+          return Status::Corruption("child node level mismatch");
+        }
+        if (node->Total() != e.count) {
+          return Status::Corruption("child subtree total does not match "
+                                    "parent entry count");
+        }
+        if (node->entries.empty() ||
+            node->entries.size() > store_.capacity()) {
+          return Status::Corruption("index node entry count out of range");
+        }
+        // Non-root nodes normally hold >= 2 entries; children of a small
+        // client root are exempt (see DESIGN.md).
+        if (level + 1 != d.root.level && node->entries.size() < 2) {
+          return Status::Corruption("internal node with a single entry");
+        }
+        return true;
+      },
+      [&](const LobEntry& e, uint64_t) -> Status {
+        if (e.count == 0) return Status::Corruption("zero-count entry");
+        if (e.page == kInvalidPage) {
+          return Status::Corruption("leaf entry without segment address");
+        }
+        // Cross-check against the buddy system: the segment's pages must be
+        // live allocations (a dangling reference would read freed storage).
+        EOS_ASSIGN_OR_RETURN(bool live,
+                             allocator()->IsAllocated(LeafOf(e).extent));
+        if (!live) {
+          return Status::Corruption("leaf segment at page " +
+                                    std::to_string(e.page) +
+                                    " references unallocated storage");
+        }
+        return Status::OK();
+      });
 }
 
 Status LobManager::CollectExtents(const LobDescriptor& d,
                                   std::vector<Extent>* out) {
-  for (const LobEntry& e : d.root.entries) {
-    EOS_RETURN_IF_ERROR(WalkCollect(e, d.root.level, out));
-  }
-  return Status::OK();
+  return WalkTree(
+      d.root,
+      [&](const LobEntry& e, uint16_t, uint64_t,
+          LobNode* node) -> StatusOr<bool> {
+        out->push_back(Extent{e.page, 1});
+        EOS_ASSIGN_OR_RETURN(*node, store_.Load(e.page));
+        return true;
+      },
+      [&](const LobEntry& e, uint64_t) {
+        out->push_back(LeafOf(e).extent);
+        return Status::OK();
+      });
 }
 
 }  // namespace eos

@@ -45,6 +45,12 @@ struct LobStats {
   // size / ((leaf_pages + index_pages) * page_size): utilization including
   // index overhead.
   double total_utilization = 0.0;
+
+  // Counts one leaf segment of `pages` pages.
+  void AddSegment(uint64_t pages);
+  // Derives the averages and utilizations from the counts, for pages of
+  // `page_size` bytes.
+  void Finish(uint32_t page_size);
 };
 
 // Byte range of an object that repair could not recover. Reads of a
@@ -207,7 +213,7 @@ class LobManager {
 
   uint32_t page_size() const { return store_.page_size(); }
   uint32_t max_segment_pages() const { return max_segment_pages_; }
-  uint32_t root_capacity() const { return root_capacity_; }
+  uint32_t root_capacity() const { return store_.root_capacity(); }
   const LobConfig& config() const { return config_; }
 
   // The cheap shape facts the paper's cost formulas consume, for the
@@ -296,12 +302,6 @@ class LobManager {
   Status AppendImpl(LobDescriptor* d, ByteView data);
   Status ReorganizeImpl(LobDescriptor* d);
 
-  struct PathLevel {
-    PageId page = kInvalidPage;  // kInvalidPage for the root level
-    LobNode node;
-    int child_idx = -1;
-  };
-
   // A leaf segment as seen from its parent entry.
   struct LeafRef {
     Extent extent;
@@ -310,29 +310,16 @@ class LobManager {
 
   uint32_t LeafPages(uint64_t bytes) const;
 
-  // Descends to the leaf containing byte `offset` (offset < size), filling
-  // the path (root first) and the leaf-local offset.
-  Status DescendToLeaf(const LobDescriptor& d, uint64_t offset,
-                       std::vector<PathLevel>* path, LeafRef* leaf,
-                       uint64_t* local) const;
+  // An EOS leaf entry of C bytes is a segment of ceil(C / page_size)
+  // physically contiguous pages.
+  LeafRef LeafOf(const LobEntry& e) const {
+    return LeafRef{Extent{e.page, LeafPages(e.count)}, e.count};
+  }
 
-  // Replaces the child entry recorded in path.back() with `repl`, then
-  // writes the spine back bottom-up, splitting nodes as needed and growing
-  // the root level on root overflow.
-  Status ReplaceInPath(LobDescriptor* d, std::vector<PathLevel>* path,
-                       std::vector<LobEntry> repl);
-
-  // Splits an oversized entry list into chunks and writes each as a node,
-  // reusing `orig_page` for the first chunk when valid. Returns the parent
-  // entries describing the written nodes.
-  StatusOr<std::vector<LobEntry>> WriteNodeMaybeSplit(PageId orig_page,
-                                                      LobNode&& node);
-
-  // Pushes root entries down into fresh nodes until they fit root_capacity.
-  Status FitRoot(LobDescriptor* d);
-
-  // Collapses single-child roots (Section 4.3.2 step 6).
-  Status CollapseRoot(LobDescriptor* d);
+  // NodeStore::ReplaceInPath with the [Bili91a] compaction hook, then
+  // publishes the tree level.
+  Status Splice(LobDescriptor* d, std::vector<PathLevel>* path,
+                std::vector<LobEntry> repl);
 
   // Allocates segments for `data` (sequence of maximal segments, last one
   // exactly sized) and writes it; returns the leaf entries.
@@ -343,8 +330,10 @@ class LobManager {
                        uint8_t* out);
   Status WriteLeafPages(PageId first, ByteView data);
 
-  // Frees the whole subtree under `entry` at `level` (level 0 = leaf).
-  Status FreeSubtree(const LobEntry& entry, uint16_t level);
+  // NodeStore::FreeSubtree over EOS leaves.
+  Status FreeSubtree(const LobEntry& entry, uint16_t level,
+                     PageId keep_a = kInvalidPage,
+                     PageId keep_b = kInvalidPage);
 
   // Dissolves underfull (single-entry) nodes left on the path to `offset`
   // when a splice could not find siblings at its own level; iterating
@@ -354,8 +343,6 @@ class LobManager {
 
   // Delete recursion over an in-memory node; see delete.cc.
   struct LeafSubst;
-  Status FreeSubtreeForDelete(const LobEntry& entry, uint16_t level,
-                              const LeafSubst& subst);
   StatusOr<LobNode> DeleteInNode(LobNode node, uint64_t lo, uint64_t hi,
                                  const LeafSubst& subst);
   Status FixUnderfullChild(LobNode* parent, size_t idx);
@@ -376,21 +363,9 @@ class LobManager {
   // adjacent unsafe segments into single larger segments.
   Status CompactUnsafeRuns(LobNode* leaf_parent);
 
-  // Device-direct tree walks of the integrity layer; see scrub.cc.
-  Status WalkScrub(const LobEntry& entry, uint16_t level, uint64_t object_id,
-                   ScrubReport* report);
-  Status WalkSalvage(const LobEntry& entry, uint16_t level, uint64_t offset,
-                     uint8_t* out, std::vector<HoleRange>* holes);
-
-  Status WalkStats(const LobEntry& entry, uint16_t level, LobStats* stats);
-  Status WalkCheck(const LobEntry& entry, uint16_t level, bool is_root_child);
-  Status WalkCollect(const LobEntry& entry, uint16_t level,
-                     std::vector<Extent>* out);
-
   LobConfig config_;
   NodeStore store_;
   uint32_t max_segment_pages_;
-  uint32_t root_capacity_;
   LogManager* log_ = nullptr;
   IoExecutor* exec_ = nullptr;
   bool cow_replace_ = false;

@@ -1,8 +1,11 @@
 #include "lob/node.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "common/bytes.h"
+#include "common/math.h"
+#include "lob/descriptor.h"
 
 namespace eos {
 
@@ -70,6 +73,15 @@ Status NodeFormat::Deserialize(const uint8_t* page, uint32_t page_size,
   return Status::OK();
 }
 
+NodeStore::NodeStore(Pager* pager, SegmentAllocator* allocator,
+                     uint32_t page_size, uint32_t max_root_bytes)
+    : pager_(pager), allocator_(allocator), page_size_(page_size) {
+  uint32_t root_bytes = max_root_bytes == 0 ? page_size : max_root_bytes;
+  root_capacity_ = std::max<uint32_t>(
+      2, std::min(LobDescriptor::MaxEntriesFor(root_bytes),
+                  NodeFormat::Capacity(page_size)));
+}
+
 StatusOr<LobNode> NodeStore::Load(PageId page) {
   EOS_ASSIGN_OR_RETURN(PageHandle h, pager_->Fetch(page));
   LobNode node;
@@ -110,6 +122,176 @@ Status NodeStore::FreePage(PageId page) {
   // frame can be the only good copy of the page. The allocator drops it
   // once the page is really free.
   return allocator_->Free(Extent{page, 1});
+}
+
+// ----- descent ---------------------------------------------------------------
+
+Status NodeStore::DescendToLeaf(const LobDescriptor& d, uint64_t offset,
+                                std::vector<PathLevel>* path, LobEntry* leaf,
+                                uint64_t* local) {
+  if (offset >= d.size()) {
+    return Status::OutOfRange("offset beyond object size");
+  }
+  path->clear();
+  PathLevel level;
+  level.page = kInvalidPage;
+  level.node = d.root;
+  uint64_t off = offset;
+  for (;;) {
+    level.child_idx = level.node.FindChild(&off);
+    const LobEntry& e = level.node.entries[level.child_idx];
+    uint16_t child_level = level.node.level;
+    path->push_back(level);
+    if (child_level == 0) {
+      *leaf = e;
+      *local = off;
+      return Status::OK();
+    }
+    PathLevel next;
+    next.page = e.page;
+    EOS_ASSIGN_OR_RETURN(next.node, Load(e.page));
+    if (next.node.level != child_level - 1) {
+      return Status::Corruption("index node level mismatch");
+    }
+    level = std::move(next);
+  }
+}
+
+StatusOr<bool> NodeStore::NextLeaf(std::vector<PathLevel>* path,
+                                   LobEntry* leaf) {
+  // Pop exhausted levels, then advance and descend leftmost.
+  while (!path->empty() &&
+         path->back().child_idx + 1 >=
+             static_cast<int>(path->back().node.entries.size())) {
+    path->pop_back();
+  }
+  if (path->empty()) return false;
+  ++path->back().child_idx;
+  for (;;) {
+    PathLevel& top = path->back();
+    const LobEntry& e = top.node.entries[top.child_idx];
+    if (top.node.level == 0) {
+      *leaf = e;
+      return true;
+    }
+    PathLevel next;
+    next.page = e.page;
+    EOS_ASSIGN_OR_RETURN(next.node, Load(e.page));
+    next.child_idx = 0;
+    path->push_back(std::move(next));
+  }
+}
+
+// ----- write-back ------------------------------------------------------------
+
+StatusOr<std::vector<LobEntry>> NodeStore::WriteNodeMaybeSplit(
+    PageId orig_page, LobNode&& node) {
+  uint32_t cap = capacity();
+  std::vector<LobEntry> out;
+  if (node.entries.size() <= cap) {
+    if (node.entries.empty()) {
+      if (orig_page != kInvalidPage) {
+        EOS_RETURN_IF_ERROR(FreePage(orig_page));
+      }
+      return out;
+    }
+    PageId page = orig_page;
+    if (page == kInvalidPage) {
+      EOS_ASSIGN_OR_RETURN(page, WriteNew(node));
+    } else {
+      EOS_RETURN_IF_ERROR(Write(&page, node));
+    }
+    out.push_back(LobEntry{node.Total(), page});
+    return out;
+  }
+  // Split into evenly sized chunks, each at least half full.
+  size_t n = node.entries.size();
+  size_t q = CeilDiv(n, cap);
+  size_t base = n / q;
+  size_t extra = n % q;
+  size_t pos = 0;
+  for (size_t i = 0; i < q; ++i) {
+    size_t len = base + (i < extra ? 1 : 0);
+    LobNode chunk;
+    chunk.level = node.level;
+    chunk.entries.assign(node.entries.begin() + pos,
+                         node.entries.begin() + pos + len);
+    pos += len;
+    PageId page;
+    if (i == 0 && orig_page != kInvalidPage) {
+      page = orig_page;
+      EOS_RETURN_IF_ERROR(Write(&page, chunk));
+    } else {
+      EOS_ASSIGN_OR_RETURN(page, WriteNew(chunk));
+    }
+    out.push_back(LobEntry{chunk.Total(), page});
+  }
+  return out;
+}
+
+Status NodeStore::ReplaceInPath(
+    LobDescriptor* d, std::vector<PathLevel>* path,
+    std::vector<LobEntry> repl,
+    const std::function<Status(LobNode*)>& before_split) {
+  for (size_t i = path->size(); i-- > 1;) {
+    PathLevel& lvl = (*path)[i];
+    lvl.node.entries.erase(lvl.node.entries.begin() + lvl.child_idx);
+    lvl.node.entries.insert(lvl.node.entries.begin() + lvl.child_idx,
+                            repl.begin(), repl.end());
+    if (before_split && lvl.node.level == 0 &&
+        lvl.node.entries.size() > capacity()) {
+      EOS_RETURN_IF_ERROR(before_split(&lvl.node));
+    }
+    EOS_ASSIGN_OR_RETURN(repl,
+                         WriteNodeMaybeSplit(lvl.page, std::move(lvl.node)));
+  }
+  PathLevel& top = path->front();
+  assert(top.page == kInvalidPage);
+  top.node.entries.erase(top.node.entries.begin() + top.child_idx);
+  top.node.entries.insert(top.node.entries.begin() + top.child_idx,
+                          repl.begin(), repl.end());
+  d->root = std::move(top.node);
+  EOS_RETURN_IF_ERROR(FitRoot(d));
+  return CollapseRoot(d);
+}
+
+Status NodeStore::FitRoot(LobDescriptor* d) {
+  uint32_t cap = capacity();
+  while (d->root.entries.size() > root_capacity_) {
+    size_t n = d->root.entries.size();
+    // q == 1 yields the stable single-child root (CollapseRoot will not
+    // re-pull a child larger than the root capacity); q >= 2 chunks are
+    // each at least two entries because node capacity is at least 3.
+    size_t q = CeilDiv(n, cap);
+    size_t base = n / q;
+    size_t extra = n % q;
+    LobNode new_root;
+    new_root.level = d->root.level + 1;
+    size_t pos = 0;
+    for (size_t i = 0; i < q; ++i) {
+      size_t len = base + (i < extra ? 1 : 0);
+      LobNode child;
+      child.level = d->root.level;
+      child.entries.assign(d->root.entries.begin() + pos,
+                           d->root.entries.begin() + pos + len);
+      pos += len;
+      EOS_ASSIGN_OR_RETURN(PageId page, WriteNew(child));
+      new_root.entries.push_back(LobEntry{child.Total(), page});
+    }
+    d->root = std::move(new_root);
+  }
+  return Status::OK();
+}
+
+Status NodeStore::CollapseRoot(LobDescriptor* d) {
+  while (d->root.level > 0 && d->root.entries.size() == 1) {
+    PageId child_page = d->root.entries[0].page;
+    EOS_ASSIGN_OR_RETURN(LobNode child, Load(child_page));
+    if (child.entries.size() > root_capacity_) break;
+    EOS_RETURN_IF_ERROR(FreePage(child_page));
+    d->root = std::move(child);
+  }
+  return Status::OK();
 }
 
 }  // namespace eos

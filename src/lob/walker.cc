@@ -9,64 +9,34 @@ namespace eos {
 
 Status LeafWalker::Seek(uint64_t offset) {
   stack_.clear();
+  LobEntry e;
   uint64_t local = 0;
-  EOS_RETURN_IF_ERROR(mgr_->DescendToLeaf(d_, offset, &stack_, &leaf_,
-                                          &local));
+  EOS_RETURN_IF_ERROR(
+      mgr_->store_.DescendToLeaf(d_, offset, &stack_, &e, &local));
+  leaf_ = mgr_->LeafOf(e);
   local_ = local;
   return Status::OK();
 }
 
 StatusOr<bool> LeafWalker::Next() {
   local_ = 0;
-  // Pop exhausted levels, then advance and descend leftmost.
-  while (!stack_.empty() &&
-         stack_.back().child_idx + 1 >=
-             static_cast<int>(stack_.back().node.entries.size())) {
-    stack_.pop_back();
-  }
-  if (stack_.empty()) return false;
-  ++stack_.back().child_idx;
-  for (;;) {
-    LobManager::PathLevel& top = stack_.back();
-    const LobEntry& e = top.node.entries[top.child_idx];
-    if (top.node.level == 0) {
-      leaf_.extent = Extent{e.page, mgr_->LeafPages(e.count)};
-      leaf_.bytes = e.count;
-      return true;
-    }
-    LobManager::PathLevel next;
-    next.page = e.page;
-    EOS_ASSIGN_OR_RETURN(next.node, mgr_->store_.Load(e.page));
-    next.child_idx = 0;
-    stack_.push_back(std::move(next));
-  }
+  LobEntry e;
+  EOS_ASSIGN_OR_RETURN(bool more, mgr_->store_.NextLeaf(&stack_, &e));
+  if (more) leaf_ = mgr_->LeafOf(e);
+  return more;
 }
 
 StatusOr<bool> LeafWalker::PeekNextLeaf(Extent* extent, uint64_t* bytes) {
-  // Same traversal as Next(), on a copy of the ancestor stack. Index nodes
-  // come from the pager, so the common peek costs no device I/O.
-  std::vector<LobManager::PathLevel> stack = stack_;
-  while (!stack.empty() &&
-         stack.back().child_idx + 1 >=
-             static_cast<int>(stack.back().node.entries.size())) {
-    stack.pop_back();
+  // Next() on a copy of the ancestor stack. Index nodes come from the
+  // pager, so the common peek costs no device I/O.
+  std::vector<PathLevel> stack = stack_;
+  LobEntry e;
+  EOS_ASSIGN_OR_RETURN(bool more, mgr_->store_.NextLeaf(&stack, &e));
+  if (more) {
+    *extent = mgr_->LeafOf(e).extent;
+    *bytes = e.count;
   }
-  if (stack.empty()) return false;
-  ++stack.back().child_idx;
-  for (;;) {
-    LobManager::PathLevel& top = stack.back();
-    const LobEntry& e = top.node.entries[top.child_idx];
-    if (top.node.level == 0) {
-      *extent = Extent{e.page, mgr_->LeafPages(e.count)};
-      *bytes = e.count;
-      return true;
-    }
-    LobManager::PathLevel next;
-    next.page = e.page;
-    EOS_ASSIGN_OR_RETURN(next.node, mgr_->store_.Load(e.page));
-    next.child_idx = 0;
-    stack.push_back(std::move(next));
-  }
+  return more;
 }
 
 // ----- LobReader -------------------------------------------------------------

@@ -50,7 +50,7 @@ class LeafWalker {
 
   LobManager* mgr_;
   const LobDescriptor& d_;
-  std::vector<LobManager::PathLevel> stack_;
+  std::vector<PathLevel> stack_;
   LobManager::LeafRef leaf_;
   uint64_t local_ = 0;
 };
