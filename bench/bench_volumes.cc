@@ -14,8 +14,8 @@
 //     not one failed attempt per read.
 //
 // Emits one {"bench":"volumes","metric":...,"value":...} line per result;
-// tools/run_checks.sh gates the committed BENCH_10.json on
-// scrub_parallel_speedup and degraded_read_ratio.
+// tools/run_checks.sh re-runs this bench and gates scrub_parallel_speedup,
+// degraded_read_ratio and failover_reads (tools/bench_gate.py).
 
 #include <chrono>
 #include <cstdio>

@@ -1,28 +1,31 @@
 #!/usr/bin/env python3
-"""Gates on the committed bench results (wired into tools/run_checks.sh).
+"""Gates on bench results (wired into tools/run_checks.sh).
 
-Each row of CHECKS names a committed JSON-lines file, a metric in it, the
-comparison the metric must pass, the threshold and what a failure means.
-The files hold one {"bench":..., "metric":..., "value":...} object per
-line, as the benches print them. A metric missing from its file fails
-the gate. These checks re-read the committed results; they do not re-run
-the benches.
+Each row of CHECKS names a source, a metric in it, the comparison the
+metric must pass, the threshold and what a failure means. A source ending
+in .json is a committed JSON-lines file, which is re-read; any other source
+names a bench binary, which is run. Both hold one
+{"bench":..., "metric":..., "value":...} object per line, as the benches
+print them. A metric missing from its source fails the gate.
 
-  python3 tools/bench_gate.py
+  python3 tools/bench_gate.py                  # rows that read a file
+  python3 tools/bench_gate.py --run build/bench  # rows that run a bench
 
 Exits 1 listing every failed check.
 """
 
+import argparse
 import json
 import operator
 import os
+import subprocess
 import sys
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 COMPARE = {">=": operator.ge, ">": operator.gt, "<=": operator.le}
 
-# (file, metric, comparison, threshold, what a failure means)
+# (source, metric, comparison, threshold, what a failure means)
 CHECKS = [
     # Aging (DESIGN.md §12): churn provokes read-cost drift with the
     # defragmenter off; with it on, read cost recovers to the §4 cost model
@@ -45,49 +48,66 @@ CHECKS = [
     ("BENCH_9.json", "zipf_hot_p99_ratio", "<=", 1.2,
      "hot-phase foreground p99 with the cache on, over cache off"),
     # Multi-volume sets (DESIGN.md §15), 3 members, IO-bound.
-    ("BENCH_10.json", "scrub_parallel_speedup", ">=", 1.3,
+    ("bench_volumes", "scrub_parallel_speedup", ">=", 1.3,
      "parallel per-volume scrub over serial"),
-    ("BENCH_10.json", "degraded_read_ratio", ">=", 0.5,
+    ("bench_volumes", "degraded_read_ratio", ">=", 0.5,
      "read throughput with 1 of 3 members offline, over healthy"),
-    ("BENCH_10.json", "failover_reads", ">", 0,
+    ("bench_volumes", "failover_reads", ">", 0,
      "reads the degraded pass failed over to a replica"),
 ]
 
 
-def load(path):
+def parse(lines):
     values = {}
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if line:
-                rec = json.loads(line)
-                if "metric" in rec:
-                    values[rec["metric"]] = rec["value"]
+    for line in lines:
+        line = line.strip()
+        if line.startswith("{"):
+            rec = json.loads(line)
+            if "metric" in rec:
+                values[rec["metric"]] = rec["value"]
     return values
 
 
+def load(source, bench_dir):
+    if source.endswith(".json"):
+        with open(os.path.join(REPO, source)) as f:
+            return parse(f)
+    run = subprocess.run([os.path.join(bench_dir, source)],
+                         capture_output=True, text=True, check=False)
+    if run.returncode != 0:
+        raise OSError(f"exited {run.returncode}: {run.stderr.strip()}")
+    return parse(run.stdout.splitlines())
+
+
 def main():
-    files = {}
+    ap = argparse.ArgumentParser()
+    ap.add_argument("--run", metavar="BENCH_DIR",
+                    help="run the rows that name a bench, from this "
+                         "directory, instead of reading the committed files")
+    args = ap.parse_args()
+    sources = {}
     failures = []
-    for name, metric, op, threshold, meaning in CHECKS:
-        if name not in files:
+    for source, metric, op, threshold, meaning in CHECKS:
+        if source.endswith(".json") == (args.run is not None):
+            continue
+        if source not in sources:
             try:
-                files[name] = load(os.path.join(REPO, name))
+                sources[source] = load(source, args.run)
             except (OSError, ValueError) as e:
-                files[name] = e
-        values = files[name]
+                sources[source] = e
+        values = sources[source]
         if isinstance(values, Exception):
-            failures.append(f"{name}: unreadable ({values})")
+            failures.append(f"{source}: unreadable ({values})")
             continue
         if metric not in values:
-            failures.append(f"{name} is missing '{metric}'")
+            failures.append(f"{source} is missing '{metric}'")
             continue
         value = values[metric]
         ok = COMPARE[op](value, threshold)
-        print(f"bench gate: {name} {metric} = {value:.3f} "
+        print(f"bench gate: {source} {metric} = {value:.3f} "
               f"(needs {op} {threshold}) {'ok' if ok else 'FAIL'}")
         if not ok:
-            failures.append(f"{name} {metric} = {value:.3f}, needs {op} "
+            failures.append(f"{source} {metric} = {value:.3f}, needs {op} "
                             f"{threshold}: {meaning}")
     for failure in failures:
         print(f"bench gate: {failure}")

@@ -3,10 +3,10 @@
 # the committed aging-curve gate, plus four build tiers:
 #
 #   0. tools/check_metric_names.py — metric_names.h <-> instrumentation
-#      <-> DESIGN.md table consistency — and tools/bench_gate.py, whose
-#      table checks the committed BENCH_7.json aging curve (DESIGN.md
-#      §12), BENCH_9.json cache run (§14) and BENCH_10.json volume run
-#      (§15) against their thresholds (no build needed);
+#      <-> DESIGN.md table consistency — and the file rows of
+#      tools/bench_gate.py, which check the committed BENCH_7.json aging
+#      curve (DESIGN.md §12) and BENCH_9.json cache run (§14) against
+#      their thresholds (no build needed);
 #   1. fast + sanitizer-, obs-, mvcc-, cache- and volume-labelled tests
 #      under ASan/UBSan (the `asan` preset);
 #   2. the `tsan`-, obs-, mvcc-, cache- and volume-labelled concurrency suites
@@ -14,7 +14,10 @@
 #      journal writers, snapshot readers racing writers, cache torture)
 #      under ThreadSanitizer (the `tsan` preset);
 #   3. the full suite, including the `torture` crash-recovery, bit-rot and
-#      stress tests, in the default RelWithDebInfo build; then a perfbench
+#      stress tests, in the default RelWithDebInfo build; then the bench
+#      rows of tools/bench_gate.py, which re-run bench_volumes (§15) from
+#      that build and check its scrub speedup, degraded-read ratio and
+#      failover count against their thresholds; then a perfbench
 #      correctness smoke: each workload for 2 s untraced (seed 1), which
 #      drives Read() against concurrent writers on a file-backed volume and
 #      checks every read byte for byte (fails on a non-zero exit or
@@ -115,7 +118,7 @@ fi
 echo "== [0/4] metric-name lint =="
 python3 tools/check_metric_names.py
 
-echo "== [0/4] committed bench gates (BENCH_7/9/10.json) =="
+echo "== [0/4] committed bench gates (BENCH_7/9.json) =="
 python3 tools/bench_gate.py
 
 POSTMORTEM_DIR="$PWD/build/postmortems"
@@ -143,6 +146,9 @@ cmake --preset default
 cmake --build build -j "$JOBS"
 EOS_JOURNAL_DIR="$POSTMORTEM_DIR" \
   ctest --test-dir build --output-on-failure -j "$JOBS"
+
+echo "== [3/4] re-run bench gates (bench_volumes) =="
+python3 tools/bench_gate.py --run build/bench
 
 echo "== [3/4] perfbench correctness smoke (2 s per workload, untraced) =="
 for WORKLOAD in hot_read update_many large_edit; do
