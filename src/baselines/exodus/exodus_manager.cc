@@ -21,10 +21,9 @@ ExodusManager::ExodusManager(Pager* pager, SegmentAllocator* allocator,
 StatusOr<Bytes> ExodusManager::ReadLeaf(const LobEntry& leaf) {
   // A leaf always occupies leaf_pages blocks; only ceil(count/PS) carry
   // data, and those are the ones transferred.
-  uint32_t used = static_cast<uint32_t>(CeilDiv(leaf.count, page_size()));
-  Bytes buf(size_t{used} * page_size());
-  EOS_RETURN_IF_ERROR(device()->ReadPages(leaf.page, used, buf.data()));
-  buf.resize(leaf.count);
+  Bytes buf(leaf.count);
+  EOS_RETURN_IF_ERROR(device()->ReadRange(leaf.page, 0, leaf.count,
+                                          buf.data()));
   return buf;
 }
 
@@ -126,15 +125,11 @@ Status ExodusManager::Read(const LobDescriptor& d, uint64_t offset,
     LobEntry leaf;
     uint64_t local = 0;
     EOS_RETURN_IF_ERROR(store_.DescendToLeaf(d, pos, &path, &leaf, &local));
-    uint32_t ps = page_size();
     uint64_t want = std::min(n - out->size(), leaf.count - local);
-    uint64_t p0 = local / ps;
-    uint64_t p1 = (local + want - 1) / ps;
-    Bytes buf((p1 - p0 + 1) * ps);
-    EOS_RETURN_IF_ERROR(device()->ReadPages(
-        leaf.page + p0, static_cast<uint32_t>(p1 - p0 + 1), buf.data()));
-    out->insert(out->end(), buf.begin() + (local - p0 * ps),
-                buf.begin() + (local - p0 * ps) + want);
+    size_t at = out->size();
+    out->resize(at + want);
+    EOS_RETURN_IF_ERROR(device()->ReadRange(leaf.page, local, local + want,
+                                            out->data() + at));
     pos += want;
   }
   return Status::OK();

@@ -112,19 +112,14 @@ Status StarburstManager::Read(const StarburstDescriptor& d, uint64_t offset,
   n = std::min(n, d.size() - offset);
   out->resize(n);
   if (n == 0) return Status::OK();
-  const uint32_t ps = page_size();
   uint64_t local = 0;
   size_t i = FindSegment(d, offset, &local);
   uint64_t done = 0;
   while (done < n) {
     const LobEntry& seg = d.segments[i];
     uint64_t chunk = std::min(n - done, seg.count - local);
-    uint64_t p0 = local / ps;
-    uint64_t p1 = (local + chunk - 1) / ps;
-    Bytes buf((p1 - p0 + 1) * ps);
-    EOS_RETURN_IF_ERROR(device_->ReadPages(
-        seg.page + p0, static_cast<uint32_t>(p1 - p0 + 1), buf.data()));
-    std::memcpy(out->data() + done, buf.data() + (local - p0 * ps), chunk);
+    EOS_RETURN_IF_ERROR(device_->ReadRange(seg.page, local, local + chunk,
+                                           out->data() + done));
     done += chunk;
     local = 0;
     ++i;

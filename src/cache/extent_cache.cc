@@ -81,13 +81,16 @@ void ExtentCache::RemoveLocked(
     bool count_evicted) {
   Entry& e = it->second;
   if (e.is_protected) {
-    shard->protected_bytes -= e.image.size();
+    shard->protected_bytes -= e.image.size;
     shard->protect.erase(e.lru_it);
   } else {
     shard->probation.erase(e.lru_it);
   }
-  shard->resident_bytes -= e.image.size();
-  m_resident_->Add(-static_cast<int64_t>(e.image.size()));
+  auto object = shard->by_object.find(e.key.object_id);
+  object->second.erase(e.object_it);
+  if (object->second.empty()) shard->by_object.erase(object);
+  shard->resident_bytes -= e.image.size;
+  m_resident_->Add(-static_cast<int64_t>(e.image.size));
   if (count_evicted) {
     ++shard->evicted;
     m_evict_->Inc();
@@ -103,7 +106,7 @@ void ExtentCache::EvictForLocked(Shard* shard, size_t need) {
     auto it = shard->entries.find(from.back());
     obs::RecordEvent(obs::EventKind::kNote, "cache.evict",
                      it->second.key.object_id, it->second.key.first,
-                     it->second.image.size());
+                     it->second.image.size);
     RemoveLocked(shard, it, /*count_evicted=*/true);
   }
 }
@@ -118,7 +121,7 @@ void ExtentCache::BalanceProtectedLocked(Shard* shard) {
     shard->probation.push_front(k);
     e.lru_it = shard->probation.begin();
     e.is_protected = false;
-    shard->protected_bytes -= e.image.size();
+    shard->protected_bytes -= e.image.size;
   }
 }
 
@@ -146,19 +149,19 @@ bool ExtentCache::Lookup(uint64_t object_id, uint64_t vseq, PageId first,
 bool ExtentCache::LookupLocked(Shard& shard, const Key& key, uint64_t lo,
                                uint64_t hi, uint8_t* out) {
   auto it = shard.entries.find(key);
-  if (it == shard.entries.end() || hi > it->second.image.size()) {
+  if (it == shard.entries.end() || hi > it->second.image.size) {
     ++shard.misses;
     m_miss_->Inc();
     return false;
   }
   Entry& e = it->second;
-  std::memcpy(out, e.image.data() + lo, hi - lo);
+  std::memcpy(out, e.image.data.get() + lo, hi - lo);
   if (!e.is_protected) {
     shard.probation.erase(e.lru_it);
     shard.protect.push_front(key);
     e.lru_it = shard.protect.begin();
     e.is_protected = true;
-    shard.protected_bytes += e.image.size();
+    shard.protected_bytes += e.image.size;
     BalanceProtectedLocked(&shard);
   } else {
     shard.protect.splice(shard.protect.begin(), shard.protect, e.lru_it);
@@ -195,41 +198,34 @@ bool ExtentCache::WouldAdmit(uint64_t object_id, uint64_t vseq, PageId first,
   Shard& shard = ShardFor(key);
   obs::TimedLatchGuard g(shard.latch, m_shard_wait_);
   if (shard.entries.find(key) != shard.entries.end()) return false;
-  return AdmitsLocked(shard, key, len);
+  if (AdmitsLocked(shard, key, len)) return true;
+  ++shard.rejected;
+  m_reject_->Inc();
+  return false;
 }
 
 void ExtentCache::Insert(uint64_t object_id, uint64_t vseq, PageId first,
-                         const uint8_t* data, size_t len) {
+                         Image image) {
+  const size_t len = image.size;
   if (capacity_ == 0 || len == 0 || len > shard_capacity_) return;
   Key key{object_id, vseq, first};
   Shard& shard = ShardFor(key);
   // Frequency-based admission: a one-touch cold scan never displaces a
-  // proven-hot entry. Checked once before the image copy, so a rejected
-  // offer never pays for it, and again once the copy is made, because the
-  // shard may have moved while its latch was dropped.
-  auto admit_locked = [&] {
-    if (shard.entries.find(key) != shard.entries.end()) return false;
-    if (AdmitsLocked(shard, key, len)) return true;
-    ++shard.rejected;
-    m_reject_->Inc();
-    return false;
-  };
-  {
-    obs::TimedLatchGuard g(shard.latch, m_shard_wait_);
-    if (!admit_locked()) return;
-  }
-
-  // Copy outside the shard latch; a large image must not serialize readers.
-  Bytes image(data, data + len);
-
+  // proven-hot entry. The caller's WouldAdmit ran before the fill read,
+  // with the latch dropped, so the shard may have moved since; that probe
+  // counted the offer's rejection, and losing the race here is rare.
   obs::TimedLatchGuard g(shard.latch, m_shard_wait_);
-  if (!admit_locked()) return;
+  if (shard.entries.find(key) != shard.entries.end()) return;
+  if (!AdmitsLocked(shard, key, len)) return;
   EvictForLocked(&shard, len);
   if (shard.resident_bytes + len > shard_capacity_) return;
+  std::list<Key>& object_keys = shard.by_object[object_id];
+  object_keys.push_front(key);
   Entry e;
   e.key = key;
   e.is_protected = false;
   e.image = std::move(image);
+  e.object_it = object_keys.begin();
   shard.resident_bytes += len;
   m_resident_->Add(static_cast<int64_t>(len));
   shard.probation.push_front(key);
@@ -246,15 +242,18 @@ void ExtentCache::InvalidateObjectBelow(uint64_t object_id, uint64_t floor) {
   uint64_t dropped = 0;
   for (Shard& shard : shards_) {
     obs::TimedLatchGuard g(shard.latch, m_shard_wait_);
-    for (auto it = shard.entries.begin(); it != shard.entries.end();) {
-      if (it->first.object_id == object_id && it->first.vseq < floor) {
-        auto victim = it++;
-        RemoveLocked(&shard, victim, /*count_evicted=*/false);
-        ++shard.invalidated;
-        ++dropped;
-      } else {
-        ++it;
-      }
+    auto object = shard.by_object.find(object_id);
+    if (object == shard.by_object.end()) continue;
+    std::list<Key>& keys = object->second;
+    for (auto k = keys.begin(); k != keys.end();) {
+      const Key key = *k++;
+      if (key.vseq >= floor) continue;
+      // Removing the object's last entry in this shard erases `keys`.
+      const bool last = keys.size() == 1;
+      RemoveLocked(&shard, shard.entries.find(key), /*count_evicted=*/false);
+      ++shard.invalidated;
+      ++dropped;
+      if (last) break;
     }
   }
   if (dropped > 0) {

@@ -5,9 +5,9 @@
 #include <atomic>
 #include <cstdint>
 #include <list>
+#include <memory>
 #include <unordered_map>
 
-#include "common/bytes.h"
 #include "common/latch.h"
 #include "io/page_device.h"
 #include "obs/metrics.h"
@@ -32,6 +32,12 @@ namespace eos {
 //     overflow demotes back to probation), and victims come from the
 //     probation tail first. Images are stored as read, so every hit is a
 //     memcpy off the entry.
+//   * The cache adopts the exact-size image a fill read into (Insert takes
+//     ownership), so it holds exactly the bytes it charges and a fill
+//     makes no copy of its own.
+//   * Each shard indexes its entries by object, so dropping one object's
+//     stale versions visits that object's entries, not the whole cache,
+//     while Lookup stays one hash lookup.
 //
 // Thread-safe; the key/LRU state is sharded (kShards latches) and every
 // latch here is a leaf — the cache never calls back into the engine — so
@@ -44,11 +50,23 @@ class ExtentCache {
     uint64_t hits = 0;
     uint64_t misses = 0;
     uint64_t admitted = 0;
-    uint64_t rejected = 0;     // failed frequency-based admission
+    uint64_t rejected = 0;     // WouldAdmit probes frequency admission refused
     uint64_t evicted = 0;
     uint64_t invalidated = 0;
     uint64_t resident_bytes = 0;  // bytes of cached images
     uint64_t entries = 0;
+  };
+
+  // An extent image the cache adopts: `size` bytes, allocated without
+  // zeroing, because the fill read writes every byte before the image is
+  // offered.
+  struct Image {
+    std::unique_ptr<uint8_t[]> data;
+    size_t size = 0;
+
+    static Image Allocate(size_t size) {
+      return Image{std::make_unique_for_overwrite<uint8_t[]>(size), size};
+    }
   };
 
   // `capacity_bytes` is the total resident budget over all shards; 0
@@ -70,23 +88,25 @@ class ExtentCache {
 
   // Admission probe for the fill policy: would offering a `len`-byte image
   // for this key pass frequency admission right now? The leaf-read path
-  // asks this before paying the whole-extent staging read a partial-range
-  // miss would otherwise amplify into — a one-touch cold scan reads only
-  // the bytes it asked for, while an extent the sketch has seen beat the
-  // current victim and earns the fill. Advisory (no LRU/sketch side
-  // effects, and Insert re-checks); may go stale by the time the fill
-  // lands, which merely wastes one over-read.
+  // asks this before every fill read, whole or partial: a one-touch cold
+  // scan reads only the bytes it asked for, straight into its own buffer,
+  // while an extent the sketch has seen beat the current victim and earns
+  // the fill. A refusal by frequency counts as a rejection; otherwise
+  // advisory (no LRU/sketch side effects, and Insert re-checks), and may go
+  // stale by the time the fill lands, which merely wastes one over-read.
   bool WouldAdmit(uint64_t object_id, uint64_t vseq, PageId first,
                   size_t len) const;
 
-  // Offers a whole extent image of `len` bytes for admission.
-  // May be rejected (frequency too low under pressure) or evict others.
-  void Insert(uint64_t object_id, uint64_t vseq, PageId first,
-              const uint8_t* data, size_t len);
+  // Offers a whole extent image for admission and takes ownership of it.
+  // Admission is checked again under the shard latch: the image may be
+  // rejected (frequency too low under pressure, and then freed) or evict
+  // others.
+  void Insert(uint64_t object_id, uint64_t vseq, PageId first, Image image);
 
   // Drops every entry of the object whose vseq is below `floor` — the
   // invalidation hook: pass the oldest version a reader could still pin
   // (the chain front) after publish/GC, or ~0 to drop the whole object.
+  // Visits only that object's entries, through each shard's object index.
   void InvalidateObjectBelow(uint64_t object_id, uint64_t floor);
   void InvalidateObject(uint64_t object_id) {
     InvalidateObjectBelow(object_id, ~uint64_t{0});
@@ -125,14 +145,17 @@ class ExtentCache {
 
   struct Entry {
     Key key;
-    Bytes image;
+    Image image;
     bool is_protected = false;
-    std::list<Key>::iterator lru_it;  // position in its segment's list
+    std::list<Key>::iterator lru_it;     // position in its segment's list
+    std::list<Key>::iterator object_it;  // position in its object's list
   };
 
   struct Shard {
     mutable Latch latch;
     std::unordered_map<Key, Entry, KeyHash> entries;
+    // The keys of `entries`, by object; an object with none has no list.
+    std::unordered_map<uint64_t, std::list<Key>> by_object;
     std::list<Key> probation;  // front = most recent
     std::list<Key> protect;
     size_t resident_bytes = 0;

@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "io/buffer_pool.h"
 #include "obs/event_journal.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
@@ -67,6 +68,31 @@ Status PageDevice::ReadPages(PageId first, uint32_t n, uint8_t* out) {
   EOS_RETURN_IF_ERROR(CheckRange(first, n));
   Account(/*is_read=*/true, first, n);
   return DoRead(first, n, out);
+}
+
+Status PageDevice::ReadRange(PageId base, uint64_t lo, uint64_t hi,
+                             uint8_t* out) {
+  if (hi <= lo) return Status::InvalidArgument("empty byte range");
+  const uint64_t p0 = lo / page_size_;
+  const uint64_t pages = (hi - 1) / page_size_ - p0 + 1;
+  if (pages > UINT32_MAX) {
+    return Status::OutOfRange("byte range [" + std::to_string(lo) + ", " +
+                              std::to_string(hi) + ") is too long");
+  }
+  const uint32_t n = static_cast<uint32_t>(pages);
+  EOS_RETURN_IF_ERROR(CheckRange(base + p0, n));
+  Account(/*is_read=*/true, base + p0, n);
+  return DoReadRange(base + p0, n, lo - p0 * page_size_, hi - lo, out);
+}
+
+Status PageDevice::DoReadRange(PageId first, uint32_t n, size_t skip,
+                               size_t len, uint8_t* out) {
+  const size_t bytes = size_t{n} * page_size_;
+  if (skip == 0 && len == bytes) return DoRead(first, n, out);
+  BufferPool::Buffer staging = BufferPool::Default()->Acquire(bytes);
+  EOS_RETURN_IF_ERROR(DoRead(first, n, staging.data()));
+  std::memcpy(out, staging.data() + skip, len);
+  return Status::OK();
 }
 
 Status PageDevice::WritePages(PageId first, uint32_t n, const uint8_t* data) {

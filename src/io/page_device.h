@@ -74,6 +74,12 @@ class PageDevice {
   // (n * page_size bytes). Charged as one access: at most one seek.
   Status ReadPages(PageId first, uint32_t n, uint8_t* out);
 
+  // Reads bytes [lo, hi) of the pages from `base` on into `out` (hi - lo
+  // bytes; lo < hi). Charged exactly like ReadPages of the pages the range
+  // touches, base + lo / page_size through base + (hi - 1) / page_size.
+  // On error `out` is unspecified.
+  Status ReadRange(PageId base, uint64_t lo, uint64_t hi, uint8_t* out);
+
   // Writes `n` physically adjacent pages starting at `first`.
   Status WritePages(PageId first, uint32_t n, const uint8_t* data);
 
@@ -117,6 +123,12 @@ class PageDevice {
  protected:
   virtual Status DoRead(PageId first, uint32_t n, uint8_t* out) = 0;
   virtual Status DoWrite(PageId first, uint32_t n, const uint8_t* data) = 0;
+  // Moves bytes [skip, skip + len) of the n pages at `first` into `out`.
+  // The default reads a whole-page range straight into `out` and stages
+  // any other through a pooled buffer; VerifiedPageDevice copies each
+  // page's part as soon as that page verifies.
+  virtual Status DoReadRange(PageId first, uint32_t n, size_t skip,
+                             size_t len, uint8_t* out);
   virtual Status DoReadRuns(const PageRun* runs, size_t n);
   virtual Status DoWriteRuns(const ConstPageRun* runs, size_t n);
 

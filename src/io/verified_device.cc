@@ -1,5 +1,6 @@
 #include "io/verified_device.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 #include <string>
@@ -117,13 +118,16 @@ Status VerifiedPageDevice::Grow(uint64_t new_page_count) {
 Status VerifiedPageDevice::Sync() { return inner_->Sync(); }
 
 Status VerifiedPageDevice::ReadAndVerifyOnce(PageId first, uint32_t n,
-                                             uint8_t* staging, uint8_t* out,
+                                             uint8_t* staging, size_t skip,
+                                             size_t len, uint8_t* out,
                                              PageId* bad_page) {
   uint32_t phys = physical_page_size();
   EOS_RETURN_IF_ERROR(inner_->ReadPages(first, n, staging));
+  const size_t end = skip + len;
   Status verdict;
   for (uint32_t i = 0; i < n; ++i) {
-    Status s = VerifyPage(staging + size_t{i} * phys, phys, first + i, epoch_);
+    const uint8_t* page = staging + size_t{i} * phys;
+    Status s = VerifyPage(page, phys, first + i, epoch_);
     if (!s.ok()) {
       m_checksum_fail_->Inc();
       obs::RecordEvent(obs::EventKind::kChecksumFail, "verify_read",
@@ -132,17 +136,25 @@ Status VerifiedPageDevice::ReadAndVerifyOnce(PageId first, uint32_t n,
         verdict = std::move(s);
         *bad_page = first + i;
       }
+      continue;
+    }
+    if (!verdict.ok()) continue;  // `out` is unspecified from here on
+    const size_t page_lo = size_t{i} * page_size_;
+    const size_t from = std::max(skip, page_lo);
+    const size_t to = std::min(end, page_lo + page_size_);
+    if (from < to) {
+      std::memcpy(out + (from - skip), page + (from - page_lo), to - from);
     }
   }
-  if (!verdict.ok()) return verdict;
-  for (uint32_t i = 0; i < n; ++i) {
-    std::memcpy(out + size_t{i} * page_size_, staging + size_t{i} * phys,
-                page_size_);
-  }
-  return Status::OK();
+  return verdict;
 }
 
 Status VerifiedPageDevice::DoRead(PageId first, uint32_t n, uint8_t* out) {
+  return DoReadRange(first, n, 0, size_t{n} * page_size_, out);
+}
+
+Status VerifiedPageDevice::DoReadRange(PageId first, uint32_t n, size_t skip,
+                                       size_t len, uint8_t* out) {
   {
     LatchGuard g(quarantine_latch_);
     auto it = quarantined_.lower_bound(first);
@@ -164,7 +176,8 @@ Status VerifiedPageDevice::DoRead(PageId first, uint32_t n, uint8_t* out) {
       m_read_retry_->Inc();
     }
     bad_page = kInvalidPage;
-    s = ReadAndVerifyOnce(first, n, staging.data(), out, &bad_page);
+    s = ReadAndVerifyOnce(first, n, staging.data(), skip, len, out,
+                          &bad_page);
     if (s.ok()) return s;
     if (!retry_.RetriableError(s) && !s.IsCorruption()) return s;
   }

@@ -86,7 +86,10 @@ class VerifiedPageDevice final : public PageDevice {
                            uint16_t epoch);
 
  protected:
+  // A whole-page read is the byte range that covers every page.
   Status DoRead(PageId first, uint32_t n, uint8_t* out) override;
+  Status DoReadRange(PageId first, uint32_t n, size_t skip, size_t len,
+                     uint8_t* out) override;
   Status DoWrite(PageId first, uint32_t n, const uint8_t* data) override;
   // Batch writes seal every page into one pooled staging buffer and
   // forward a single vectored batch to the wrapped device. Batch reads use
@@ -97,10 +100,14 @@ class VerifiedPageDevice final : public PageDevice {
  private:
   uint32_t physical_page_size() const { return inner_->page_size(); }
 
-  // One physical read attempt + verification of all n pages; fills
-  // `bad_page` with the first failing page on Corruption.
+  // One physical read attempt of the n pages at `first` into `staging`.
+  // Verifies every page, and copies each good page's part of payload
+  // bytes [skip, skip + len) into `out` while the page is still in cache.
+  // Fills `bad_page` with the first failing page on Corruption; `out` is
+  // then unspecified.
   Status ReadAndVerifyOnce(PageId first, uint32_t n, uint8_t* staging,
-                           uint8_t* out, PageId* bad_page);
+                           size_t skip, size_t len, uint8_t* out,
+                           PageId* bad_page);
 
   std::unique_ptr<PageDevice> owned_;
   PageDevice* inner_;

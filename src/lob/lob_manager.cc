@@ -79,53 +79,38 @@ Status LobManager::ReadLeafBytes(const LeafRef& leaf, uint64_t lo, uint64_t hi,
       return Status::OK();  // zero-I/O hit off the immutable version extent
     }
     // Miss: fill with the whole extent image so any later touch of this
-    // segment hits. A partial-range miss would amplify the fill into a
-    // whole-extent over-read, so it pays that only when the admission
-    // sketch says the extent would actually enter the cache — a one-touch
-    // cold scan takes the direct read below at no amplification — and
-    // never under a bounded operation (deadline pressure must not pay for
-    // speculative bytes) or during emergency-reserve work.
+    // segment hits. The fill reads straight into the exact-size image the
+    // cache adopts, and only when the admission sketch says the image
+    // would enter: a one-touch cold scan takes the direct read below, at
+    // no amplification for a partial range. A partial range never fills
+    // under a bounded operation (deadline pressure must not pay for
+    // speculative bytes), and nothing fills during emergency-reserve work.
     bool whole = lo == 0 && hi == leaf.bytes;
     const OpContext* op = ScopedOpContext::Current();
     bool skip_fill =
         SegmentAllocator::EmergencyScope::active() ||
-        (!whole &&
-         ((op != nullptr && op->bounded()) ||
-          !cache->cache->WouldAdmit(cache->object_id, cache->vseq,
-                                    leaf.extent.first, leaf.bytes)));
+        (!whole && op != nullptr && op->bounded()) ||
+        !cache->cache->WouldAdmit(cache->object_id, cache->vseq,
+                                  leaf.extent.first, leaf.bytes);
     if (!skip_fill) {
       static obs::Counter* fill_fail =
           obs::MetricsRegistry::Default().counter(obs::kCacheFillFail);
-      uint32_t npages = LeafPages(leaf.bytes);
-      BufferPool::Buffer buf =
-          BufferPool::Default()->Acquire(size_t{npages} * page_size());
-      Status s = device()->ReadPages(leaf.extent.first, npages, buf.data());
+      ExtentCache::Image image = ExtentCache::Image::Allocate(leaf.bytes);
+      Status s = device()->ReadRange(leaf.extent.first, 0, leaf.bytes,
+                                     image.data.get());
       if (s.ok()) {
-        std::memcpy(out, buf.data() + lo, hi - lo);
+        std::memcpy(out, image.data.get() + lo, hi - lo);
         cache->cache->Insert(cache->object_id, cache->vseq,
-                             leaf.extent.first, buf.data(), leaf.bytes);
+                             leaf.extent.first, std::move(image));
         return Status::OK();
       }
-      // A failed fill (injected fault, transient error) degrades to the
-      // direct read below, which carries the authoritative retry/report
-      // semantics.
+      // A failed fill (injected fault, transient error) throws its image
+      // away and degrades to the direct read below, which carries the
+      // authoritative retry/report semantics.
       fill_fail->Inc();
     }
   }
-  uint32_t ps = page_size();
-  uint64_t p0 = lo / ps;
-  uint64_t p1 = (hi - 1) / ps;
-  uint32_t n = static_cast<uint32_t>(p1 - p0 + 1);
-  if (lo % ps == 0 && (hi - lo) % ps == 0) {
-    // Page-aligned range: transfer straight into the caller's buffer,
-    // no staging copy at all.
-    return device()->ReadPages(leaf.extent.first + p0, n, out);
-  }
-  BufferPool::Buffer buf = BufferPool::Default()->Acquire(size_t{n} * ps);
-  EOS_RETURN_IF_ERROR(
-      device()->ReadPages(leaf.extent.first + p0, n, buf.data()));
-  std::memcpy(out, buf.data() + (lo - p0 * ps), hi - lo);
-  return Status::OK();
+  return device()->ReadRange(leaf.extent.first, lo, hi, out);
 }
 
 Status LobManager::WriteLeafPages(PageId first, ByteView data) {

@@ -59,6 +59,13 @@ DatabaseOptions CachedOptions(bool mvcc) {
   return opt;
 }
 
+// The owned image Insert adopts, holding a copy of `b`.
+ExtentCache::Image ImageOf(const Bytes& b) {
+  ExtentCache::Image image = ExtentCache::Image::Allocate(b.size());
+  std::copy(b.begin(), b.end(), image.data.get());
+  return image;
+}
+
 std::string AsString(const Bytes& b) {
   return std::string(reinterpret_cast<const char*>(b.data()), b.size());
 }
@@ -279,6 +286,87 @@ TEST(CacheTortureTest, ReadFaultDuringFillDegradesToDirectRead) {
   ExpectClean(db->get());
 }
 
+// ----- a checksummed fill that meets rot -------------------------------------
+
+// With checksums on, a fill reads the whole extent through the verified
+// device into the image the cache would adopt. Rot in one page of the
+// extent fails every read that covers it with Corruption naming the page,
+// throws the failed fill's image away (cache.fill_fail) and leaves the
+// extent uncached, while a healthy range of the same extent still reads
+// through the direct path and other extents still fill and read exactly.
+TEST(CacheTortureTest, ChecksummedFillMeetsRot) {
+  const uint64_t seed = TestSeed(0xCA57);
+  SCOPED_TRACE("seed " + std::to_string(seed) +
+               " (re-run with EOS_TEST_SEED=<seed>)");
+  auto chaos_owned = std::make_unique<ChaosPageDevice>(
+      std::make_unique<MemPageDevice>(512, 1), seed);
+  ChaosPageDevice* chaos = chaos_owned.get();
+  DatabaseOptions opt = CachedOptions(/*mvcc=*/true);
+  opt.checksums = true;
+  auto db = Database::CreateOnDevice(std::move(chaos_owned), opt);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  ExtentCache* cache = (*db)->extent_cache();
+  const uint64_t ps = (*db)->device()->page_size();
+
+  Bytes a_bytes = PatternBytes(seed, 12 << 10);
+  Bytes b_bytes = PatternBytes(seed + 1, 6 << 10);
+  auto a = (*db)->CreateObjectFrom(a_bytes);
+  auto b = (*db)->CreateObjectFrom(b_bytes);
+  ASSERT_TRUE(a.ok() && b.ok());
+  auto snap = (*db)->BeginSnapshot(*a);
+  ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+  const std::vector<LobEntry>& segments = snap->root().root.entries;
+  ASSERT_EQ(snap->root().root.level, 0u);
+  ASSERT_GE(segments[0].count, 3 * ps) << "want a multi-page extent";
+  const PageId rotten = segments[0].page + 1;
+  cache->Clear();
+  EOS_ASSERT_OK(chaos->CorruptPage(rotten, /*bits=*/3));
+
+  obs::Counter* fill_fail =
+      obs::MetricsRegistry::Default().counter(obs::kCacheFillFail);
+  const std::string names_page = "page " + std::to_string(rotten);
+  // The whole object, and a range of the first extent that covers only
+  // part of the rotten page.
+  for (auto [offset, n] : {std::pair<uint64_t, uint64_t>{0, a_bytes.size()},
+                           {ps + 10, 20}}) {
+    auto got = (*db)->Read(*a, offset, n);
+    ASSERT_FALSE(got.ok()) << "read [" << offset << ", +" << n << ")";
+    EXPECT_TRUE(got.status().IsCorruption()) << got.status().ToString();
+    EXPECT_NE(got.status().message().find(names_page), std::string::npos)
+        << got.status().ToString();
+  }
+
+  // A healthy range of the same extent: the fill still covers the rotten
+  // page and fails, the direct read of the range succeeds.
+  uint64_t fails_before = fill_fail->value();
+  auto healthy = (*db)->Read(*a, 10, ps - 20);
+  ASSERT_TRUE(healthy.ok()) << healthy.status().ToString();
+  EXPECT_TRUE(std::equal(healthy->begin(), healthy->end(),
+                         a_bytes.begin() + 10));
+  EXPECT_GT(fill_fail->value(), fails_before) << "the fill never ran";
+  EXPECT_FALSE(cache->Contains(*a, snap->vseq(), segments[0].page));
+
+  // Other extents, of this object and of another, fill and read exactly.
+  uint64_t offset = segments[0].count;
+  for (size_t i = 1; i < segments.size(); ++i) {
+    auto got = (*db)->Read(*a, offset, segments[i].count);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_TRUE(std::equal(got->begin(), got->end(),
+                           a_bytes.begin() + offset));
+    EXPECT_TRUE(cache->Contains(*a, snap->vseq(), segments[i].page));
+    offset += segments[i].count;
+  }
+  for (int pass = 0; pass < 2; ++pass) {
+    uint64_t hits_before = cache->GetStats().hits;
+    auto got = (*db)->Read(*b, 0, b_bytes.size());
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(*got, b_bytes);
+    if (pass == 1) {
+      EXPECT_GT(cache->GetStats().hits, hits_before) << "no fill to hit";
+    }
+  }
+}
+
 // ----- deadline-bounded partial reads skip the fill --------------------------
 
 TEST(CacheTortureTest, BoundedPartialReadSkipsWholeExtentFill) {
@@ -381,7 +469,7 @@ TEST(CacheTortureTest, PrefetchSkippedForCachedExtents) {
 // decision matches WouldAdmit, the accounting is exact, and
 // InvalidateObjectBelow drops exactly one object's entries below its floor.
 TEST(CacheTortureTest, ProtectedHotSetSurvivesOneTouchScan) {
-  // 32 KiB per shard, 80% of it protected: the 18 KiB hot set fits one
+  // 32 KiB per shard, 80% of it protected: the 21 KiB hot set fits one
   // shard's protected segment even if every hot key hashes to that shard.
   constexpr size_t kCapacity = 256u << 10;
   constexpr size_t kImageBytes = 1024;
@@ -411,6 +499,9 @@ TEST(CacheTortureTest, ProtectedHotSetSurvivesOneTouchScan) {
   };
 
   std::vector<Key> hot;
+  // Object 6 neighbours object 7 and holds versions below the floor the
+  // invalidation at the end passes for 7; none of its entries may go.
+  for (uint64_t vseq = 1; vseq <= 3; ++vseq) hot.push_back(Key{6, vseq, 10});
   for (uint64_t object : {7u, 8u}) {
     for (uint64_t vseq = 1; vseq <= 3; ++vseq) {
       for (PageId first = 10; first < 13; ++first) {
@@ -419,8 +510,7 @@ TEST(CacheTortureTest, ProtectedHotSetSurvivesOneTouchScan) {
     }
   }
   for (const Key& k : hot) {
-    Bytes b = image(k);
-    cache.Insert(k.object, k.vseq, k.first, b.data(), b.size());
+    cache.Insert(k.object, k.vseq, k.first, ImageOf(image(k)));
     ASSERT_TRUE(cache.Contains(k.object, k.vseq, k.first));
   }
   // The first hit promotes each entry; the rest build its frequency.
@@ -438,8 +528,7 @@ TEST(CacheTortureTest, ProtectedHotSetSurvivesOneTouchScan) {
     scan.push_back(k);
     ASSERT_FALSE(hits_exactly(k, 0, kImageBytes)) << "scan key " << i;
     bool predicted = cache.WouldAdmit(k.object, k.vseq, k.first, kImageBytes);
-    Bytes b = image(k);
-    cache.Insert(k.object, k.vseq, k.first, b.data(), b.size());
+    cache.Insert(k.object, k.vseq, k.first, ImageOf(image(k)));
     bool admitted = cache.Contains(k.object, k.vseq, k.first);
     ASSERT_EQ(admitted, predicted) << "scan key " << i;
     scan_admitted += admitted ? 1 : 0;
@@ -518,7 +607,7 @@ TEST(CacheTortureTest, ShardedCacheExactUnderConcurrentPressure) {
             failed.store(true);
           }
         } else if (pick < 90) {
-          cache.Insert(object, vseq, first, expect.data(), expect.size());
+          cache.Insert(object, vseq, first, ImageOf(expect));
         } else if (pick < 96) {
           cache.InvalidateObjectBelow(object, 1 + rng() % 4);
         } else {
@@ -533,6 +622,15 @@ TEST(CacheTortureTest, ShardedCacheExactUnderConcurrentPressure) {
   EXPECT_LE(stats.resident_bytes, cache.capacity_bytes());
   EXPECT_GT(stats.evicted + stats.rejected, 0u)
       << "population never exceeded capacity; pressure untested";
+
+  // Every entry left is reachable through its object's index: dropping
+  // each object empties the cache.
+  for (uint64_t object = 0; object < kObjects; ++object) {
+    cache.InvalidateObject(object);
+  }
+  ExtentCache::Stats empty = cache.GetStats();
+  EXPECT_EQ(empty.entries, 0u);
+  EXPECT_EQ(empty.resident_bytes, 0u);
 }
 
 }  // namespace

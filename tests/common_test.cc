@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include "common/bytes.h"
-#include "common/crc32c.h"
 #include "common/math.h"
 #include "common/random.h"
 #include "common/status.h"
@@ -91,50 +90,6 @@ TEST(MathTest, LargestAlignedSize) {
   EXPECT_EQ(LargestAlignedSize(4), 4u);
   EXPECT_EQ(LargestAlignedSize(12), 4u);
   EXPECT_EQ(LargestAlignedSize(64), 64u);
-}
-
-TEST(Crc32cTest, KnownVector) {
-  // The canonical CRC32C check value, whatever kernel dispatch picked.
-  EXPECT_EQ(Crc32c("123456789", 9), 0xE3069283u);
-  EXPECT_EQ(Crc32cFinalize(Crc32cExtendSoftware(Crc32cInit(), "123456789", 9)),
-            0xE3069283u);
-}
-
-TEST(Crc32cTest, IncrementalMatchesOneShot) {
-  std::string data(1000, '\0');
-  for (size_t i = 0; i < data.size(); ++i) {
-    data[i] = static_cast<char>(i * 31 + 7);
-  }
-  uint32_t state = Crc32cInit();
-  state = Crc32cExtend(state, data.data(), 400);
-  state = Crc32cExtend(state, data.data() + 400, 600);
-  EXPECT_EQ(Crc32cFinalize(state), Crc32c(data.data(), data.size()));
-}
-
-TEST(Crc32cTest, HardwareMatchesSoftware) {
-  // Cross-check the dispatched kernel against slice-by-8 on every length
-  // and alignment in a window, so head/tail handling of the 8-byte-stride
-  // hardware loop is exercised. On machines without the instructions the
-  // dispatch is the software kernel and this still passes trivially.
-  Random rng(42);
-  std::vector<uint8_t> buf(4096 + 64);
-  for (auto& b : buf) b = static_cast<uint8_t>(rng.Next());
-  for (size_t align = 0; align < 9; ++align) {
-    for (size_t len : {0u, 1u, 3u, 7u, 8u, 9u, 63u, 64u, 65u, 511u, 4096u}) {
-      uint32_t hw = Crc32cExtend(123u, buf.data() + align, len);
-      uint32_t sw = Crc32cExtendSoftware(123u, buf.data() + align, len);
-      EXPECT_EQ(hw, sw) << "align=" << align << " len=" << len
-                        << " backend=" << Crc32cBackend();
-    }
-  }
-}
-
-TEST(Crc32cTest, BackendNamed) {
-  const char* name = Crc32cBackend();
-  EXPECT_TRUE(std::string(name) == "sse4.2" ||
-              std::string(name) == "armv8-crc" ||
-              std::string(name) == "slice-by-8")
-      << name;
 }
 
 TEST(RandomTest, DeterministicAndBounded) {

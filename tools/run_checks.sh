@@ -5,8 +5,7 @@
 #   0. tools/check_metric_names.py — metric_names.h <-> instrumentation
 #      <-> DESIGN.md table consistency — and the file rows of
 #      tools/bench_gate.py, which check the committed BENCH_7.json aging
-#      curve (DESIGN.md §12) and BENCH_9.json cache run (§14) against
-#      their thresholds (no build needed);
+#      curve (DESIGN.md §12) against its thresholds (no build needed);
 #   1. fast + sanitizer-, obs-, mvcc-, cache- and volume-labelled tests
 #      under ASan/UBSan (the `asan` preset);
 #   2. the `tsan`-, obs-, mvcc-, cache- and volume-labelled concurrency suites
@@ -15,9 +14,11 @@
 #      under ThreadSanitizer (the `tsan` preset);
 #   3. the full suite, including the `torture` crash-recovery, bit-rot and
 #      stress tests, in the default RelWithDebInfo build; then the bench
-#      rows of tools/bench_gate.py, which re-run bench_volumes (§15) from
-#      that build and check its scrub speedup, degraded-read ratio and
-#      failover count against their thresholds; then a perfbench
+#      rows of tools/bench_gate.py, which re-run from that build
+#      bench_throughput, checking its Zipf cache run (§14: hot-set
+#      speedup, hit rate, cold-set ratio, hot p99 ratio), and
+#      bench_volumes (§15), checking its scrub speedup, degraded-read
+#      ratio and failover count, against their thresholds; then a perfbench
 #      correctness smoke: each workload for 2 s untraced (seed 1), which
 #      drives Read() against concurrent writers on a file-backed volume and
 #      checks every read byte for byte (fails on a non-zero exit or
@@ -118,7 +119,7 @@ fi
 echo "== [0/4] metric-name lint =="
 python3 tools/check_metric_names.py
 
-echo "== [0/4] committed bench gates (BENCH_7/9.json) =="
+echo "== [0/4] committed bench gates (BENCH_7.json) =="
 python3 tools/bench_gate.py
 
 POSTMORTEM_DIR="$PWD/build/postmortems"
@@ -147,7 +148,7 @@ cmake --build build -j "$JOBS"
 EOS_JOURNAL_DIR="$POSTMORTEM_DIR" \
   ctest --test-dir build --output-on-failure -j "$JOBS"
 
-echo "== [3/4] re-run bench gates (bench_volumes) =="
+echo "== [3/4] re-run bench gates (bench_throughput, bench_volumes) =="
 python3 tools/bench_gate.py --run build/bench
 
 echo "== [3/4] perfbench correctness smoke (2 s per workload, untraced) =="
