@@ -273,14 +273,11 @@ StatusOr<LobNode> LobManager::DeleteInNode(LobNode node, uint64_t lo,
 
 Status LobManager::Delete(LobDescriptor* d, uint64_t offset, uint64_t n) {
   obs::ScopedOp span("lob.delete", 0, device());
-  obs::CostScope cost(obs::CostOp::kDelete,
-                      obs::ExpectedDeleteCost(CostFacts(*d), offset, n,
-                                              config_.threshold_pages),
-                      device());
-  Status s =
-      RunGuarded(d, "lob.delete", [&] { return DeleteImpl(d, offset, n); });
-  cost.set_ok(s.ok());
-  return span.Close(std::move(s));
+  span.set_expected_cost(obs::CostOp::kDelete,
+                         obs::ExpectedDeleteCost(CostFacts(*d), offset, n,
+                                                 config_.threshold_pages));
+  return span.Close(
+      RunGuarded(d, "lob.delete", [&] { return DeleteImpl(d, offset, n); }));
 }
 
 Status LobManager::DeleteImpl(LobDescriptor* d, uint64_t offset, uint64_t n) {

@@ -16,15 +16,12 @@ namespace eos {
 
 Status LobManager::Insert(LobDescriptor* d, uint64_t offset, ByteView data) {
   obs::ScopedOp span("lob.insert", 0, device());
-  obs::CostScope cost(
+  span.set_expected_cost(
       obs::CostOp::kInsert,
       obs::ExpectedInsertCost(CostFacts(*d), data.size(),
-                              config_.threshold_pages),
-      device());
-  Status s =
-      RunGuarded(d, "lob.insert", [&] { return InsertImpl(d, offset, data); });
-  cost.set_ok(s.ok());
-  return span.Close(std::move(s));
+                              config_.threshold_pages));
+  return span.Close(
+      RunGuarded(d, "lob.insert", [&] { return InsertImpl(d, offset, data); }));
 }
 
 Status LobManager::InsertImpl(LobDescriptor* d, uint64_t offset,
@@ -112,12 +109,10 @@ Status LobManager::InsertImpl(LobDescriptor* d, uint64_t offset,
 
 Status LobManager::Append(LobDescriptor* d, ByteView data) {
   obs::ScopedOp span("lob.append", 0, device());
-  obs::CostScope cost(obs::CostOp::kAppend,
-                      obs::ExpectedAppendCost(CostFacts(*d), data.size()),
-                      device());
-  Status s = RunGuarded(d, "lob.append", [&] { return AppendImpl(d, data); });
-  cost.set_ok(s.ok());
-  return span.Close(std::move(s));
+  span.set_expected_cost(obs::CostOp::kAppend,
+                         obs::ExpectedAppendCost(CostFacts(*d), data.size()));
+  return span.Close(
+      RunGuarded(d, "lob.append", [&] { return AppendImpl(d, data); }));
 }
 
 Status LobManager::AppendImpl(LobDescriptor* d, ByteView data) {

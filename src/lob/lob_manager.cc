@@ -237,12 +237,9 @@ Status LobManager::Read(const LobDescriptor& d, uint64_t offset, uint64_t n,
                         Bytes* out) {
   obs::ScopedOp span("lob.read", 0, device());
   EOS_RETURN_IF_ERROR(span.Close(ScopedOpContext::CheckCurrent("lob.read")));
-  obs::CostScope cost(obs::CostOp::kRead,
-                      obs::ExpectedReadCost(CostFacts(d), offset, n),
-                      device());
-  Status s = ReadImpl(d, offset, n, out);
-  cost.set_ok(s.ok());
-  return span.Close(std::move(s));
+  span.set_expected_cost(obs::CostOp::kRead,
+                         obs::ExpectedReadCost(CostFacts(d), offset, n));
+  return span.Close(ReadImpl(d, offset, n, out));
 }
 
 Status LobManager::ReadImpl(const LobDescriptor& d, uint64_t offset,

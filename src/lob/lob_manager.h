@@ -217,7 +217,7 @@ class LobManager {
   const LobConfig& config() const { return config_; }
 
   // The cheap shape facts the paper's cost formulas consume, for the
-  // obs::CostScope conformance probes in the public wrappers and the
+  // spans' conformance probes in the public wrappers and the
   // aging/defrag tooling. Utilization is left at 1.0 (the fresh ideal) so
   // a ratio against these inputs measures layout drift, not expectations
   // about it.

@@ -171,15 +171,5 @@ void RecordConformance(CostOp op, const CostEstimate& model,
   m.ops->Inc();
 }
 
-CostScope::CostScope(CostOp op, const CostEstimate& model,
-                     const PageDevice* dev)
-    : op_(op), model_(model) {
-  if (Enabled() && dev != nullptr) window_.emplace(dev);
-}
-
-CostScope::~CostScope() {
-  if (window_ && ok_) RecordConformance(op_, model_, window_->Elapsed().io);
-}
-
 }  // namespace obs
 }  // namespace eos

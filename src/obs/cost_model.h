@@ -2,16 +2,11 @@
 #define EOS_OBS_COST_MODEL_H_
 
 #include <cstdint>
-#include <optional>
 
 #include "io/io_stats.h"
 #include "obs/metrics.h"
-#include "obs/span_counts.h"
 
 namespace eos {
-
-class PageDevice;
-
 namespace obs {
 
 // The paper's analytic per-operation I/O cost model (Biliris, ICDE 1992,
@@ -81,7 +76,8 @@ enum class CostOp : uint8_t { kRead = 0, kInsert, kAppend, kDelete };
 
 const char* CostOpName(CostOp op);  // "read", "insert", ...
 
-// Records one op's predicted-vs-actual page I/O into the registry:
+// Records one op's predicted-vs-actual page I/O into the registry (a span
+// with an expected cost calls it when it closes OK; see ScopedOp):
 //   cost.<op>_actual_over_model   histogram of 100 * actual / model
 //   cost.model_pages              histogram of predicted transfers
 //   cost.actual_pages             histogram of measured transfers
@@ -89,30 +85,6 @@ const char* CostOpName(CostOp op);  // "read", "insert", ...
 // (ROADMAP item 4). No-op when observability is disabled.
 void RecordConformance(CostOp op, const CostEstimate& model,
                        const IoStats& actual);
-
-// RAII conformance probe wrapped around an instrumented operation: opens
-// a SpanWindow on `dev` at construction and records predicted-vs-actual
-// at destruction — but only after set_ok(true), so an operation that
-// errored or never ran contributes no sample. Like a span, it counts only
-// the calling thread's transfers and those of the executor tasks it
-// submits. Inert (no window, no estimate consumed) when observability is
-// disabled or the device is null.
-class CostScope {
- public:
-  CostScope(CostOp op, const CostEstimate& model, const PageDevice* dev);
-  ~CostScope();
-
-  CostScope(const CostScope&) = delete;
-  CostScope& operator=(const CostScope&) = delete;
-
-  void set_ok(bool ok) { ok_ = ok; }
-
- private:
-  bool ok_ = false;
-  CostOp op_;
-  CostEstimate model_;
-  std::optional<SpanWindow> window_;  // empty when inert
-};
 
 }  // namespace obs
 }  // namespace eos

@@ -5,11 +5,8 @@
 #include "obs/metric_names.h"
 #include "obs/op_tracer.h"
 
-#include <algorithm>
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 namespace eos {
 namespace obs {
@@ -36,25 +33,7 @@ const char* EventKindName(EventKind k) {
   return "unknown";
 }
 
-// Per-thread ring. The latch is owned by exactly one recording thread and
-// taken by readers only during a dump, so recording is effectively
-// uncontended; it exists to make the slot bytes themselves race-free under
-// TSan when a dump snapshots a live ring. The header has a cache line of
-// its own, so no other thread's recording touches it.
-struct alignas(64) EventJournal::Ring {
-  Ring(size_t cap, uint32_t tid_in) : tid(tid_in) { slots.resize(cap); }
-
-  const uint32_t tid;  // registration index, stable for the thread's life
-  mutable Latch latch;
-  std::vector<JournalEvent> slots;
-  size_t next = 0;      // insertion cursor once full
-  size_t filled = 0;    // <= slots.size()
-  uint64_t recorded = 0;  // events ever recorded by this thread
-};
-
 namespace {
-
-std::atomic<uint64_t> g_journal_ids{1};
 
 obs::Counter* EventsCounter() {
   static Counter* c =
@@ -75,108 +54,19 @@ EventJournal& EventJournal::Default() {
   return *journal;
 }
 
-EventJournal::EventJournal(size_t per_thread_capacity)
-    : cap_(per_thread_capacity == 0 ? 1 : per_thread_capacity),
-      id_(g_journal_ids.fetch_add(1, std::memory_order_relaxed)),
-      epoch_(std::chrono::steady_clock::now()) {}
-
-EventJournal::~EventJournal() = default;
-
-EventJournal::Ring* EventJournal::RingForThisThread() {
-  // One-entry cache: the common case is a thread talking to the default
-  // journal only, so the registration latch is taken once per thread.
-  thread_local uint64_t cached_id = 0;
-  thread_local Ring* cached_ring = nullptr;
-  if (cached_id == id_) return cached_ring;
-  LatchGuard g(latch_);
-  auto it = by_thread_.find(std::this_thread::get_id());
-  Ring* ring;
-  if (it != by_thread_.end()) {
-    ring = it->second;
-  } else {
-    rings_.push_back(
-        std::make_unique<Ring>(cap_, static_cast<uint32_t>(rings_.size())));
-    ring = rings_.back().get();
-    by_thread_[std::this_thread::get_id()] = ring;
-  }
-  cached_id = id_;
-  cached_ring = ring;
-  return ring;
-}
-
 void EventJournal::Record(EventKind kind, const char* label, uint64_t a,
                           uint64_t b, uint64_t c, bool ok) {
   if (!Enabled()) return;
-  Ring* ring = RingForThisThread();
-  JournalEvent e;
-  e.seq = seq_.fetch_add(1, std::memory_order_relaxed) + 1;
-  e.t_us = static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - epoch_)
-          .count());
-  e.kind = kind;
-  e.label = label;
-  e.a = a;
-  e.b = b;
-  e.c = c;
-  e.ok = ok;
-  e.tid = ring->tid;
-  LatchGuard g(ring->latch);
-  if (ring->filled < ring->slots.size()) {
-    ring->slots[ring->filled++] = e;
-  } else {
-    ring->slots[ring->next] = e;
-    ring->next = (ring->next + 1) % ring->slots.size();
-  }
-  ++ring->recorded;
+  uint64_t now_ns = TraceClockNs();
+  recorder_.Push(JournalEvent{.t_us = now_ns / 1000,
+                              .kind = kind,
+                              .label = label,
+                              .a = a,
+                              .b = b,
+                              .c = c,
+                              .ok = ok},
+                 now_ns);
   EventsCounter()->Inc();
-}
-
-uint64_t EventJournal::total_recorded() const {
-  LatchGuard g(latch_);
-  uint64_t total = 0;
-  for (const auto& r : rings_) {
-    LatchGuard rg(r->latch);
-    total += r->recorded;
-  }
-  return total;
-}
-
-size_t EventJournal::threads_seen() const {
-  LatchGuard g(latch_);
-  return rings_.size();
-}
-
-void EventJournal::Clear() {
-  LatchGuard g(latch_);
-  for (const auto& r : rings_) {
-    LatchGuard rg(r->latch);
-    r->next = 0;
-    r->filled = 0;
-    r->recorded = 0;
-  }
-  seq_.store(0, std::memory_order_relaxed);
-}
-
-std::vector<JournalEvent> EventJournal::MergedEvents() const {
-  std::vector<JournalEvent> out;
-  {
-    LatchGuard g(latch_);
-    for (const auto& r : rings_) {
-      LatchGuard rg(r->latch);
-      // Oldest first within the ring: next points at the oldest once full.
-      size_t n = r->filled;
-      size_t start = r->filled < r->slots.size() ? 0 : r->next;
-      for (size_t i = 0; i < n; ++i) {
-        out.push_back(r->slots[(start + i) % r->slots.size()]);
-      }
-    }
-  }
-  std::sort(out.begin(), out.end(),
-            [](const JournalEvent& x, const JournalEvent& y) {
-              return x.seq < y.seq;
-            });
-  return out;
 }
 
 JsonValue EventJournal::ToJsonValue() const {
@@ -248,17 +138,7 @@ StatusOr<std::string> WritePostMortem(const char* reason) {
            seed != nullptr ? JsonValue::Str(seed) : JsonValue());
   root.Set("journal", EventJournal::Default().ToJsonValue());
   root.Set("spans", OpTracer::Default().ToJsonValue());
-  std::string json = root.Dump();
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return Status::IOError("open(" + path + "): " + std::strerror(errno));
-  }
-  size_t put = std::fwrite(json.data(), 1, json.size(), f);
-  int werr = std::ferror(f);
-  if (std::fputc('\n', f) == EOF) werr = 1;
-  if (std::fclose(f) != 0 || werr != 0 || put != json.size()) {
-    return Status::IOError("write(" + path + ") failed");
-  }
+  EOS_RETURN_IF_ERROR(WriteJsonFile(path, root.Dump()));
   PostMortemsCounter()->Inc();
   return path;
 }

@@ -1,19 +1,14 @@
 #ifndef EOS_OBS_EVENT_JOURNAL_H_
 #define EOS_OBS_EVENT_JOURNAL_H_
 
-#include <atomic>
-#include <chrono>
 #include <cstdint>
-#include <memory>
 #include <string>
-#include <thread>
-#include <unordered_map>
 #include <vector>
 
-#include "common/latch.h"
 #include "common/status.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
+#include "obs/trace_recorder.h"
 
 namespace eos {
 namespace obs {
@@ -36,9 +31,9 @@ const char* EventKindName(EventKind k);
 // One flight-recorder event. POD-light on purpose: `label` must be a
 // static string (operation name, fault name) so recording never allocates.
 struct JournalEvent {
-  uint64_t seq = 0;   // global order across all threads
-  uint64_t t_us = 0;  // microseconds since the journal's epoch
-  uint32_t tid = 0;   // per-journal thread index (registration order)
+  uint64_t seq = 0;   // rank in the journal's time order
+  uint64_t t_us = 0;  // on the trace clock, the spans' timeline
+  uint32_t tid = 0;   // the recording thread's ring (registration order)
   EventKind kind = EventKind::kNote;
   const char* label = "";
   uint64_t a = 0;
@@ -47,14 +42,13 @@ struct JournalEvent {
   bool ok = true;
 };
 
-// Lock-light flight recorder: each thread records into its own bounded
-// ring (one uncontended latch per ring, so writers never queue behind each
-// other), and a global relaxed-atomic sequence number makes the merged
-// order reconstructible. Keeps the last `per_thread_capacity` events per
-// thread; total_recorded() counts every event ever recorded so wraparound
-// is observable. Recording is a single branch when observability is
-// disabled, and nothing — no ring, no sequence advance — is ever
-// allocated on the disabled path.
+// Flight recorder, a front end of the per-thread TraceRecorder: each
+// thread records into its own bounded ring, and MergedEvents() orders the
+// rings' events by time and numbers them by rank. Keeps the last
+// `per_thread_capacity` events per thread; total_recorded() counts every
+// event ever recorded so wraparound is observable. Recording is a single
+// branch when observability is disabled, and no ring is ever registered
+// on the disabled path.
 class EventJournal {
  public:
   static constexpr size_t kDefaultPerThreadCapacity = 1024;
@@ -62,8 +56,8 @@ class EventJournal {
   // The process-wide journal every built-in hook reports to.
   static EventJournal& Default();
 
-  explicit EventJournal(size_t per_thread_capacity = kDefaultPerThreadCapacity);
-  ~EventJournal();
+  explicit EventJournal(size_t per_thread_capacity = kDefaultPerThreadCapacity)
+      : recorder_(per_thread_capacity) {}
 
   EventJournal(const EventJournal&) = delete;
   EventJournal& operator=(const EventJournal&) = delete;
@@ -71,30 +65,19 @@ class EventJournal {
   void Record(EventKind kind, const char* label, uint64_t a = 0,
               uint64_t b = 0, uint64_t c = 0, bool ok = true);
 
-  uint64_t total_recorded() const;
-  size_t threads_seen() const;
-  size_t per_thread_capacity() const { return cap_; }
-  void Clear();
+  uint64_t total_recorded() const { return recorder_.total(); }
+  size_t threads_seen() const { return recorder_.threads(); }
+  size_t per_thread_capacity() const { return recorder_.ring_capacity(); }
+  void Clear() { recorder_.Clear(); }
 
   // All retained events merged across threads, ascending by seq.
-  std::vector<JournalEvent> MergedEvents() const;
+  std::vector<JournalEvent> MergedEvents() const { return recorder_.Merge(); }
 
   // {"version":1,"recorded":N,"dropped":N,"events":[...]}
   JsonValue ToJsonValue() const;
 
  private:
-  struct Ring;
-
-  Ring* RingForThisThread();
-
-  const size_t cap_;
-  const uint64_t id_;  // process-unique, validates the thread-local cache
-  const std::chrono::steady_clock::time_point epoch_;
-  std::atomic<uint64_t> seq_{0};
-
-  mutable Latch latch_;  // guards rings_/by_thread_ registration
-  std::vector<std::unique_ptr<Ring>> rings_;
-  std::unordered_map<std::thread::id, Ring*> by_thread_;
+  TraceRecorder<JournalEvent> recorder_;
 };
 
 // Records into the default journal; the hook every component uses.

@@ -1,9 +1,11 @@
 #include "obs/json.h"
 
 #include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 namespace eos {
 namespace obs {
@@ -348,6 +350,20 @@ StatusOr<JsonValue> JsonValue::Parse(const std::string& text) {
   EOS_ASSIGN_OR_RETURN(JsonValue v, parser.ParseValue());
   EOS_RETURN_IF_ERROR(parser.Finish());
   return v;
+}
+
+Status WriteJsonFile(const std::string& path, const std::string& json) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) {
+    return Status::IOError("open(" + path + "): " + std::strerror(errno));
+  }
+  size_t put = std::fwrite(json.data(), 1, json.size(), f);
+  int werr = std::ferror(f);
+  if (std::fputc('\n', f) == EOF) werr = 1;
+  if (std::fclose(f) != 0 || werr != 0 || put != json.size()) {
+    return Status::IOError("write(" + path + ") failed");
+  }
+  return Status::OK();
 }
 
 }  // namespace obs

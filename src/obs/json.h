@@ -68,6 +68,9 @@ class JsonValue {
 // Escapes a string for embedding in JSON output (adds no quotes).
 std::string JsonEscape(const std::string& s);
 
+// Writes `json` and a newline to `path`, replacing the file.
+Status WriteJsonFile(const std::string& path, const std::string& json);
+
 }  // namespace obs
 }  // namespace eos
 

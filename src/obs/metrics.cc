@@ -192,26 +192,6 @@ void MetricsRegistry::ResetAll() {
   for (auto& [name, h] : histograms_) h->Reset();
 }
 
-std::string MetricsRegistry::ToText() const {
-  LatchGuard g(latch_);
-  std::string out;
-  for (const auto& [name, c] : counters_) {
-    out += name + " = " + std::to_string(c->value()) + "\n";
-  }
-  for (const auto& [name, gg] : gauges_) {
-    out += name + " = " + std::to_string(gg->value()) + "\n";
-  }
-  for (const auto& [name, h] : histograms_) {
-    Histogram::Merged t = h->Totals();
-    out += name + ": count=" + std::to_string(t.count) +
-           " mean=" + std::to_string(t.mean()) +
-           " p50=" + std::to_string(Histogram::PercentileOf(t, 0.50)) +
-           " p99=" + std::to_string(Histogram::PercentileOf(t, 0.99)) +
-           " max=" + std::to_string(t.max) + "\n";
-  }
-  return out;
-}
-
 JsonValue MetricsRegistry::ToJsonValue() const {
   LatchGuard g(latch_);
   JsonValue root = JsonValue::Object();

@@ -286,8 +286,6 @@ class MetricsRegistry {
 
   void ResetAll();
 
-  // Human-readable multi-line listing (sorted by name).
-  std::string ToText() const;
   // {"counters":{...},"gauges":{...},"histograms":{name:{count,sum,mean,
   //  p50,p90,p99,max}}}
   JsonValue ToJsonValue() const;

@@ -25,18 +25,7 @@ std::string SnapshotPathFor(const std::string& volume_path) {
 }
 
 Status WriteSnapshotFile(const std::string& path) {
-  std::string json = SnapshotJson();
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return Status::IOError("open(" + path + "): " + std::strerror(errno));
-  }
-  size_t put = std::fwrite(json.data(), 1, json.size(), f);
-  int werr = std::ferror(f);
-  if (std::fputc('\n', f) == EOF) werr = 1;
-  if (std::fclose(f) != 0 || werr != 0 || put != json.size()) {
-    return Status::IOError("write(" + path + ") failed");
-  }
-  return Status::OK();
+  return WriteJsonFile(path, SnapshotJson());
 }
 
 std::string ChromeTraceJson(const JsonValue& snapshot) {
@@ -63,8 +52,9 @@ std::string ChromeTraceJson(const JsonValue& snapshot) {
       e.Set("ts", JsonValue::Number(ts));
       e.Set("dur", JsonValue::Number(dur));
       e.Set("pid", JsonValue::Number(1));
-      // Nested spans get their own rows so they stack under the outermost.
-      e.Set("tid", JsonValue::Number(1 + s.NumberOr("depth", 0)));
+      // One row per recording thread; nested spans stack inside their
+      // parent on it. Sidecars from before spans carried a tid use one row.
+      e.Set("tid", JsonValue::Number(s.NumberOr("tid", 0)));
       JsonValue args = JsonValue::Object();
       args.Set("object", JsonValue::Number(s.NumberOr("object", 0)));
       args.Set("seeks", JsonValue::Number(s.NumberOr("seeks", 0)));

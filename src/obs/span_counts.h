@@ -89,7 +89,7 @@ class ScopedSpanCharge {
   uint64_t saved_epoch_;
 };
 
-// The window ScopedOp and CostScope measure through. For its lifetime the
+// The window a ScopedOp measures through. For its lifetime the
 // calling thread charges its totals, and accesses to `device` count (a
 // null device keeps the enclosing window's); Elapsed() is what was
 // charged since construction. Windows nest.

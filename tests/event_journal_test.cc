@@ -1,10 +1,12 @@
 // Flight-recorder tests (DESIGN.md §6): global ordering across per-thread
 // rings, wraparound accounting, lock-light concurrent recording (this
 // suite runs under TSan via the `tsan` label), the disabled no-op path,
-// and post-mortem dump round-trips, which carry the recent spans.
+// the one timeline events share with spans, and post-mortem dump
+// round-trips, which carry the recent spans.
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -218,6 +220,33 @@ TEST(EventJournalTest, PostMortemDumpRoundTripsAndBundlesSeed) {
   EXPECT_EQ(last.NumberOr("object", 0), 4242.0);
   std::remove(path->c_str());
   unsetenv("EOS_TEST_SEED");
+}
+
+// Events and spans share one clock: an event recorded 20 ms after one
+// span closed and 20 ms before the next opened is stamped between them,
+// even from a journal constructed in between.
+TEST(EventJournalTest, EventsAndSpansShareOneTimeline) {
+  constexpr uint64_t kGapUs = 20'000;
+  { obs::ScopedOp first("test.timeline_first", 1, nullptr); }
+  std::this_thread::sleep_for(std::chrono::microseconds(kGapUs));
+  EventJournal j(8);
+  j.Record(EventKind::kNote, "between_spans");
+  std::this_thread::sleep_for(std::chrono::microseconds(kGapUs));
+  { obs::ScopedOp second("test.timeline_second", 2, nullptr); }
+
+  std::vector<obs::OpSpan> spans = obs::OpTracer::Default().Spans();
+  ASSERT_GE(spans.size(), 2u);
+  const obs::OpSpan& a = spans[spans.size() - 2];
+  const obs::OpSpan& b = spans.back();
+  ASSERT_STREQ(a.op, "test.timeline_first");
+  ASSERT_STREQ(b.op, "test.timeline_second");
+  std::vector<JournalEvent> events = j.MergedEvents();
+  ASSERT_EQ(events.size(), 1u);
+  uint64_t t = events[0].t_us;
+  EXPECT_GE(t, a.start_us + a.wall_us + kGapUs)
+      << "the event is stamped after the first span's end";
+  EXPECT_LE(t + kGapUs, b.start_us)
+      << "the event is stamped before the second span's start";
 }
 
 TEST(EventJournalTest, DefaultJournalCountsIntoRegistry) {

@@ -13,6 +13,7 @@
 #include "obs/cost_model.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
+#include "obs/op_tracer.h"
 #include "tests/test_util.h"
 
 namespace eos {
@@ -280,31 +281,53 @@ TEST(CostModelTest, ConformanceRecordsRatioPercent) {
   EXPECT_EQ(h->sum(), sum0 + 125 + 100);
 }
 
-TEST(CostModelTest, CostScopeSamplesOnlyAcknowledgedSuccess) {
+TEST(CostModelTest, SpanCostProbeSamplesOnlyAcknowledgedSuccess) {
   MemPageDevice dev(4096, 8);
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
   obs::Histogram* h = reg.histogram(obs::kCostReadRatio);
-  uint64_t count0 = h->count();
+  uint64_t count0 = h->count(), sum0 = h->sum();
 
+  obs::OpTracer tracer(4);
   obs::CostEstimate model;
   model.leaf_reads = 1;
   Bytes page(4096);
   {
-    obs::CostScope never_ok(obs::CostOp::kRead, model, &dev);
+    obs::ScopedOp never_ok("test.cost_probe", 0, &dev, &tracer);
+    never_ok.set_expected_cost(obs::CostOp::kRead, model);
     EOS_ASSERT_OK(dev.ReadPages(0, 1, page.data()));
   }
-  EXPECT_EQ(h->count(), count0) << "no set_ok(true), no sample";
+  EXPECT_EQ(h->count(), count0) << "no OK close, no sample";
   {
-    obs::CostScope ok(obs::CostOp::kRead, model, &dev);
+    obs::ScopedOp ok("test.cost_probe", 0, &dev, &tracer);
+    ok.set_expected_cost(obs::CostOp::kRead, model);
     EOS_ASSERT_OK(dev.ReadPages(0, 1, page.data()));
-    ok.set_ok(true);
+    EOS_ASSERT_OK(ok.Close(Status::OK()));
   }
   EXPECT_EQ(h->count(), count0 + 1);
+  EXPECT_EQ(h->sum(), sum0 + 100) << "1 transfer against 1 predicted";
   {
-    obs::CostScope no_dev(obs::CostOp::kRead, model, nullptr);
+    obs::ScopedOp no_dev("test.cost_probe", 0, nullptr, &tracer);
+    no_dev.set_expected_cost(obs::CostOp::kRead, model);
     no_dev.set_ok(true);
   }
   EXPECT_EQ(h->count(), count0 + 1) << "null device stays inert";
+}
+
+// A read that fails (here past the object's end) leaves the conformance
+// histogram alone; the next successful read adds exactly one sample.
+TEST(CostModelTest, FailedReadRecordsNoConformanceSample) {
+  obs::Histogram* h =
+      obs::MetricsRegistry::Default().histogram(obs::kCostReadRatio);
+  Stack s = Stack::Make(4096, 4096);
+  auto d = s.lob->CreateFrom(PatternBytes(3, 64 << 10));
+  ASSERT_TRUE(d.ok()) << d.status().ToString();
+  uint64_t count0 = h->count();
+  Bytes out;
+  Status st = s.lob->Read(*d, d->size() + 1, 100, &out);
+  EXPECT_TRUE(st.IsOutOfRange()) << st.ToString();
+  EXPECT_EQ(h->count(), count0);
+  EOS_ASSERT_OK(s.lob->Read(*d, 0, 4096, &out));
+  EXPECT_EQ(h->count(), count0 + 1);
 }
 
 TEST(CostModelTest, FreshObjectReadConformsWithinGate) {

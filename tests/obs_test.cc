@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <barrier>
 #include <chrono>
 #include <cstdio>
 #include <functional>
@@ -427,12 +428,27 @@ TEST(MetricsTest, PrometheusExpositionFormat) {
   }
 }
 
+// Chrome event `inner` lies within `outer` on one row (tid).
+void ExpectNestedOnOneRow(const JsonValue& outer, const JsonValue& inner) {
+  EXPECT_EQ(inner.NumberOr("tid", -1), outer.NumberOr("tid", -2))
+      << "outer and inner share one tid";
+  double ots = outer.NumberOr("ts", 0), its = inner.NumberOr("ts", 0);
+  EXPECT_GE(its, ots) << "inner starts inside outer";
+  EXPECT_LE(its + inner.NumberOr("dur", 0), ots + outer.NumberOr("dur", 0))
+      << "inner ends inside outer";
+}
+
 TEST(SnapshotTest, ChromeTraceExportParsesAndNests) {
   obs::OpTracer::Default().Clear();
   {
     ScopedOp outer("test.chrome_outer", 5, nullptr);
-    ScopedOp inner("test.chrome_inner", 5, nullptr);
-    (void)inner;
+    {
+      ScopedOp inner("test.chrome_inner", 5, nullptr);
+      (void)inner;
+    }
+    // start_us and wall_us are each truncated to 1 us; the pause keeps
+    // that from pushing the inner span's end past the outer's.
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   auto snap = JsonValue::Parse(obs::SnapshotJson());
   ASSERT_TRUE(snap.ok()) << snap.status().ToString();
@@ -441,7 +457,8 @@ TEST(SnapshotTest, ChromeTraceExportParsesAndNests) {
   const JsonValue* events = trace->Find("traceEvents");
   ASSERT_NE(events, nullptr);
   ASSERT_GE(events->elements().size(), 2u);
-  bool saw_outer = false, saw_inner = false;
+  const JsonValue* outer = nullptr;
+  const JsonValue* inner = nullptr;
   for (const JsonValue& e : events->elements()) {
     const JsonValue* ph = e.Find("ph");
     ASSERT_NE(ph, nullptr);
@@ -449,17 +466,57 @@ TEST(SnapshotTest, ChromeTraceExportParsesAndNests) {
     EXPECT_GE(e.NumberOr("ts", -1), 0.0) << "timestamps never negative";
     const JsonValue* name = e.Find("name");
     ASSERT_NE(name, nullptr);
-    if (name->str() == "test.chrome_outer") {
-      saw_outer = true;
-      EXPECT_EQ(e.NumberOr("tid", 0), 1.0) << "depth 0 -> tid 1";
-    }
-    if (name->str() == "test.chrome_inner") {
-      saw_inner = true;
-      EXPECT_EQ(e.NumberOr("tid", 0), 2.0) << "depth 1 -> tid 2";
-    }
+    if (name->str() == "test.chrome_outer") outer = &e;
+    if (name->str() == "test.chrome_inner") inner = &e;
   }
-  EXPECT_TRUE(saw_outer);
-  EXPECT_TRUE(saw_inner);
+  ASSERT_NE(outer, nullptr);
+  ASSERT_NE(inner, nullptr);
+  ExpectNestedOnOneRow(*outer, *inner);
+}
+
+// Two threads' outer spans overlap in time. Each thread's spans land on a
+// row (tid) of its own, and on each row the inner span nests inside the
+// outer one: rows are threads, not nesting depths.
+TEST(SnapshotTest, ChromeTraceRowsAreThreads) {
+  obs::OpTracer::Default().Clear();
+  std::barrier both_open(2);
+  auto client = [&](uint64_t id) {
+    ScopedOp outer("test.chrome_client", id, nullptr);
+    both_open.arrive_and_wait();
+    { ScopedOp inner("test.chrome_client_inner", id, nullptr); }
+    // As above: keep the 1 us truncation from ending inner past outer.
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  };
+  std::thread a(client, 1);
+  std::thread b(client, 2);
+  a.join();
+  b.join();
+  auto snap = JsonValue::Parse(obs::SnapshotJson());
+  ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+  auto trace = JsonValue::Parse(obs::ChromeTraceJson(*snap));
+  ASSERT_TRUE(trace.ok()) << trace.status().ToString();
+  const JsonValue* events = trace->Find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  const JsonValue* outer[3] = {};
+  const JsonValue* inner[3] = {};
+  for (const JsonValue& e : events->elements()) {
+    const JsonValue* name = e.Find("name");
+    const JsonValue* args = e.Find("args");
+    ASSERT_NE(name, nullptr);
+    ASSERT_NE(args, nullptr);
+    auto id = static_cast<size_t>(args->NumberOr("object", 0));
+    if (id < 1 || id > 2) continue;
+    if (name->str() == "test.chrome_client") outer[id] = &e;
+    if (name->str() == "test.chrome_client_inner") inner[id] = &e;
+  }
+  for (size_t id = 1; id <= 2; ++id) {
+    SCOPED_TRACE("client " + std::to_string(id));
+    ASSERT_NE(outer[id], nullptr);
+    ASSERT_NE(inner[id], nullptr);
+    ExpectNestedOnOneRow(*outer[id], *inner[id]);
+  }
+  EXPECT_NE(outer[1]->NumberOr("tid", -1), outer[2]->NumberOr("tid", -1))
+      << "the two threads' spans land on two tids";
 }
 
 TEST(SnapshotTest, SnapshotWriterWritesImmediatelyAndOnStop) {

@@ -55,6 +55,21 @@ CHECKS = [
      "read throughput with 1 of 3 members offline, over healthy"),
     ("bench_volumes", "failover_reads", ">", 0,
      "reads the degraded pass failed over to a replica"),
+    # Section 4 cost-model conformance on a fresh volume (DESIGN.md §6):
+    # measured over predicted transfers. A bench reads 0 when it compared
+    # no operation at all, so a probe that records nothing fails "> 0".
+    ("bench_read_cost", "conformance_read_mean_ratio", "<=", 1.25,
+     "fresh-volume read I/O over the Section 4.2 model"),
+    ("bench_read_cost", "conformance_read_mean_ratio", ">", 0,
+     "no read recorded a conformance sample"),
+    ("bench_fragmentation", "conformance_read_mean_ratio", "<=", 1.25,
+     "fresh-volume read I/O over the Section 4.2 model"),
+    ("bench_fragmentation", "conformance_read_mean_ratio", ">", 0,
+     "no read recorded a conformance sample"),
+    ("bench_fragmentation", "conformance_append_mean_ratio", "<=", 1.25,
+     "fresh-volume append I/O over the Section 4.1 model"),
+    ("bench_fragmentation", "conformance_append_mean_ratio", ">", 0,
+     "no append recorded a conformance sample"),
 ]
 
 

@@ -16,9 +16,12 @@
 #      stress tests, in the default RelWithDebInfo build; then the bench
 #      rows of tools/bench_gate.py, which re-run from that build
 #      bench_throughput, checking its Zipf cache run (§14: hot-set
-#      speedup, hit rate, cold-set ratio, hot p99 ratio), and
+#      speedup, hit rate, cold-set ratio, hot p99 ratio),
 #      bench_volumes (§15), checking its scrub speedup, degraded-read
-#      ratio and failover count, against their thresholds; then a perfbench
+#      ratio and failover count, and bench_read_cost and
+#      bench_fragmentation (§6), checking their fresh-volume §4 cost-model
+#      conformance means (read; read and append) to lie in (0, 1.25],
+#      against their thresholds; then a perfbench
 #      correctness smoke: each workload for 2 s untraced (seed 1), which
 #      drives Read() against concurrent writers on a file-backed volume and
 #      checks every read byte for byte (fails on a non-zero exit or
@@ -148,7 +151,7 @@ cmake --build build -j "$JOBS"
 EOS_JOURNAL_DIR="$POSTMORTEM_DIR" \
   ctest --test-dir build --output-on-failure -j "$JOBS"
 
-echo "== [3/4] re-run bench gates (bench_throughput, bench_volumes) =="
+echo "== [3/4] re-run bench gates (bench_throughput, bench_volumes, bench_read_cost, bench_fragmentation) =="
 python3 tools/bench_gate.py --run build/bench
 
 echo "== [3/4] perfbench correctness smoke (2 s per workload, untraced) =="
